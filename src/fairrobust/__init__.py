@@ -12,7 +12,6 @@ from .dataset import (
     CrowdResponse,
     DataError,
     Dataset,
-    Example,
     SyntheticSpec,
     aggregate_crowd_labels,
     filter_workers,
@@ -39,8 +38,7 @@ from .adversaries import (
     RobustnessAdversary,
     cmi_exact,
     cmi_via_discriminator,
-    fairness_objective_di,
-    fairness_objective_eo,
+    fairness_objective,
     mi_exact,
     mi_via_discriminator,
     robustness_objective,

@@ -10,11 +10,15 @@ Two kinds of machinery live here:
   payoff equals the (conditional) mutual information.
 
 * Empirical adversary objectives used during training: the fairness payoff on
-  (prediction, group) pairs, its label-conditioned variant, and the robustness
-  payoff that contrasts training rows carrying predicted labels against
-  validation rows carrying true labels. Each returns the payoff value together
-  with exact gradients for the adversary parameters and for the predictions,
-  so the same evaluation serves both the ascent and descent sides of training.
+  (prediction, group) pairs, summed over strata of rows with one adversary head
+  per stratum, and the robustness payoff that contrasts training rows carrying
+  predicted labels against validation rows carrying true labels. The strata
+  select the fairness criterion: one stratum of all rows estimates I(Z; Yhat)
+  (disparate impact), strata by label estimate I(Z; Yhat | Y) (equalized
+  odds), and the positive-label rows alone give equal opportunity. Each
+  objective returns the payoff value together with exact gradients for the
+  adversary parameters and for the predictions, so the same evaluation serves
+  both the ascent and descent sides of training.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import empirical_conditional_entropy, empirical_entropy
+from .metrics import empirical_entropy
 from .nnet import (
-    ForwardCache,
     Gradients,
     MLPModel,
     MLPSpec,
@@ -299,13 +302,6 @@ def robustness_inputs(features, z, label_slot, z_cardinality: int) -> np.ndarray
 @dataclass
 class FairnessEval:
     value: float
-    adversary_grads: Gradients
-    prediction_grad: np.ndarray
-
-
-@dataclass
-class EOFairnessEval:
-    value: float
     head_grads: dict[int, Gradients]
     prediction_grad: np.ndarray
 
@@ -327,65 +323,52 @@ class RobustnessEval:
         return self.slot_scores[np.arange(len(labels)), labels]
 
 
-def fairness_objective_di(adv: FairnessAdversary, predictions, z, weights=None) -> FairnessEval:
-    """Empirical fairness payoff (1/m) sum_i w_i log D_{z_i}(yhat_i) + H(Z).
+def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, strata,
+                       weights=None) -> FairnessEval:
+    """Stratified fairness payoff (1/m) sum_i w_i log D^{s_i}_{z_i}(yhat_i) + H(Z | S).
 
-    H(Z) is the empirical group entropy, a constant with no gradient. At the
-    adversary's optimum the payoff estimates I(Z; Yhat); driving it to zero
-    makes predictions carry no group information.
+    Row i is scored by the head of its stratum s_i. Rows with s_i < 0 are left
+    out, and m counts the kept rows; H(Z | S) is the empirical conditional
+    group entropy of the kept rows, a constant with no gradient. At the heads'
+    optimum the payoff estimates I(Z; Yhat | S); driving it to zero makes
+    predictions carry no group information within any stratum. With no row
+    kept the payoff is 0 and no head gets gradients.
     """
     predictions = np.asarray(predictions, dtype=np.float64).reshape(-1)
     z = np.asarray(z, dtype=np.int64).reshape(-1)
-    m = len(predictions)
-    if m == 0 or len(z) != m:
-        raise ValueError("predictions and z must be nonempty and equal length")
-    if adv.model.spec.output_dim <= z.max():
-        raise ValueError("adversary output dim smaller than number of groups")
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    cache = forward_with_cache(adv.model, predictions[:, None])
-    probs = cache.output
-    rows = np.arange(m)
-    picked = np.clip(probs[rows, z], LOG_EPS, None)
-    value = float((w * np.log(picked)).sum() / m) + empirical_entropy(z)
-    d_probs = np.zeros_like(probs)
-    d_probs[rows, z] = w / (m * picked)
-    grads = backward(adv.model, cache, d_probs)
-    return FairnessEval(value, grads, grads.inputs[:, 0])
-
-
-def fairness_objective_eo(heads: dict[int, FairnessAdversary], predictions, z, y,
-                          weights=None) -> EOFairnessEval:
-    """Label-conditioned fairness payoff, one adversary head per observed label.
-
-    Sums (1/m) w_i log D_{z_i | y_i}(yhat_i) over all examples plus H(Z|Y); at
-    the heads' optimum this estimates I(Z; Yhat | Y). Labels with no examples
-    are skipped.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64).reshape(-1)
-    z = np.asarray(z, dtype=np.int64).reshape(-1)
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    m = len(predictions)
-    if m == 0 or len(z) != m or len(y) != m:
-        raise ValueError("predictions, z, y must be nonempty and equal length")
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    value = empirical_conditional_entropy(z, y)
-    prediction_grad = np.zeros(m)
+    strata = np.asarray(strata, dtype=np.int64).reshape(-1)
+    n = len(predictions)
+    if n == 0 or len(z) != n or len(strata) != n:
+        raise ValueError("predictions, z, strata must be nonempty and equal length")
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
+    prediction_grad = np.zeros(n)
     head_grads: dict[int, Gradients] = {}
-    for yv in sorted(set(int(v) for v in np.unique(y))):
-        mask = y == yv
-        if yv not in heads:
-            raise ValueError(f"no adversary head for label value {yv}")
-        cache = forward_with_cache(heads[yv].model, predictions[mask][:, None])
+    kept = strata >= 0
+    m = int(kept.sum())
+    entropy, payoffs = 0.0, []
+    for sv in np.flatnonzero(np.bincount(strata[kept])).tolist():
+        if sv not in heads:
+            raise ValueError(f"no adversary head for stratum {sv}")
+        model = heads[sv].model
+        mask = strata == sv
+        zs, ws = z[mask], w[mask]
+        if model.spec.output_dim <= zs.max():
+            raise ValueError("adversary output dim smaller than number of groups")
+        cache = forward_with_cache(model, predictions[mask][:, None])
         probs = cache.output
-        rows = np.arange(int(mask.sum()))
-        picked = np.clip(probs[rows, z[mask]], LOG_EPS, None)
-        value += float((w[mask] * np.log(picked)).sum() / m)
+        rows = np.arange(len(zs))
+        picked = np.clip(probs[rows, zs], LOG_EPS, None)
+        entropy += len(zs) / m * empirical_entropy(zs)
+        payoffs.append(float((ws * np.log(picked)).sum() / m))
         d_probs = np.zeros_like(probs)
-        d_probs[rows, z[mask]] = w[mask] / (m * picked)
-        grads = backward(heads[yv].model, cache, d_probs)
-        head_grads[yv] = grads
+        d_probs[rows, zs] = ws / (m * picked)
+        grads = backward(model, cache, d_probs)
+        head_grads[sv] = grads
         prediction_grad[mask] = grads.inputs[:, 0]
-    return EOFairnessEval(float(value), head_grads, prediction_grad)
+    value = entropy  # float addition does not associate: this order is part of the result
+    for payoff in payoffs:
+        value += payoff
+    return FairnessEval(value, head_grads, prediction_grad)
 
 
 def robustness_objective(adv: RobustnessAdversary, train_features, train_z,

@@ -4,33 +4,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class DataError(ValueError):
     """Malformed data: bad CSV cell, schema violation, or invalid generator spec."""
-
-
-@dataclass(frozen=True)
-class Example:
-    """One labeled row: feature vector, sensitive-group code, binary label, weight."""
-
-    features: np.ndarray
-    sensitive: int
-    label: int
-    weight: float = 1.0
-
-    def __eq__(self, other):
-        if not isinstance(other, Example):
-            return NotImplemented
-        return (
-            np.array_equal(self.features, other.features)
-            and self.sensitive == other.sensitive
-            and self.label == other.label
-            and self.weight == other.weight
-        )
 
 
 class Dataset:
@@ -90,17 +70,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def __getitem__(self, i: int) -> Example:
-        return Example(
-            features=self.features[i],
-            sensitive=int(self.sensitive[i]),
-            label=int(self.labels[i]),
-            weight=float(self.weights[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -127,19 +96,6 @@ class Dataset:
             self.weights[indices],
             z_cardinality=self.z_cardinality,
             poisoned_indices=poisoned,
-        )
-
-    @classmethod
-    def from_examples(cls, examples, z_cardinality: int = 2, poisoned_indices=None) -> "Dataset":
-        if not examples:
-            return cls(np.zeros((0, 1)), [], [], z_cardinality=z_cardinality)
-        return cls(
-            np.stack([np.asarray(e.features, dtype=np.float64) for e in examples]),
-            [e.sensitive for e in examples],
-            [e.label for e in examples],
-            [e.weight for e in examples],
-            z_cardinality=z_cardinality,
-            poisoned_indices=poisoned_indices,
         )
 
 
@@ -290,11 +246,15 @@ def load_csv(
                 if raw is None or raw == "":
                     raise DataError(f"row {row_num}: missing value in column {col!r}")
                 try:
-                    return kind(raw)
+                    value = kind(raw)
                 except ValueError:
                     raise DataError(
                         f"row {row_num}: non-numeric value {raw!r} in column {col!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"row {row_num}: non-finite value {raw!r} in column {col!r}")
+                return value
 
             features.append([cell(c, float) for c in feature_columns])
             z = cell(z_column, int)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace, asdict
 
 import numpy as np
 
+from .benchmarks import derive_seed
 from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .poison import PoisonSpec, flip_labels
 from .trainer import TrainConfig, evaluate_model, train_fair_robust
@@ -86,15 +87,11 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _seed_stream(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
-
-
 def _resolve_run(spec: ExperimentSpec, grid_value: float, seed: int):
     """Resolved (fractions, poison_fraction, config) for one grid point and seed."""
     fractions = spec.split_fractions
     poison_fraction = spec.poison_fraction
-    cfg = replace(spec.base, seed=_seed_stream(seed, 3))
+    cfg = replace(spec.base, seed=derive_seed(seed, 3))
     if spec.sweep_axis == "lambda1":
         cfg = replace(cfg, lambda1=float(grid_value))
     elif spec.sweep_axis == "poison_fraction":
@@ -107,14 +104,14 @@ def _resolve_run(spec: ExperimentSpec, grid_value: float, seed: int):
 
 def _load_datasets(spec: ExperimentSpec, fractions, seed: int):
     if spec.synthetic is not None:
-        ds = generate_synthetic(spec.synthetic, _seed_stream(seed, 0))
-        return split(ds, fractions, _seed_stream(seed, 1))
+        ds = generate_synthetic(spec.synthetic, derive_seed(seed, 0))
+        return split(ds, fractions, derive_seed(seed, 1))
     train = load_csv(spec.train_csv)
     test = load_csv(spec.test_csv)
     if spec.val_csv is not None:
         return train, load_csv(spec.val_csv), test
     f_val = fractions[1]
-    train, val, _ = split(train, (1.0 - f_val, f_val, 0.0), _seed_stream(seed, 1))
+    train, val, _ = split(train, (1.0 - f_val, f_val, 0.0), derive_seed(seed, 1))
     return train, val, test
 
 
@@ -152,7 +149,7 @@ def run_single(spec: ExperimentSpec, grid_value: float, seed: int) -> dict:
                 target_group=spec.poison_group,
                 fraction=poison_fraction,
                 strategy=spec.poison_strategy,
-                seed=_seed_stream(seed, 2),
+                seed=derive_seed(seed, 2),
             )
             train, _ = flip_labels(train, pspec)
         model, _ = train_fair_robust(train, val, cfg)

@@ -19,8 +19,8 @@ HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
 
 
-class GradientError(FloatingPointError):
-    """Non-finite gradient encountered; training has diverged."""
+class TrainingDivergedError(RuntimeError):
+    """A loss or gradient became non-finite; training has diverged."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,6 @@ class Gradients:
     def scaled(self, s: float) -> "Gradients":
         return Gradients(
             [s * w for w in self.weights], [s * b for b in self.biases], s * self.inputs
-        )
-
-    def add(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            [a + b for a, b in zip(self.weights, other.weights)],
-            [a + b for a, b in zip(self.biases, other.biases)],
-            self.inputs + other.inputs,
         )
 
 
@@ -223,7 +216,7 @@ def init_optimizer(kind: str, learning_rate: float, model: MLPModel) -> Optimize
 def _check_finite(grads: Gradients) -> None:
     for g in grads.weights + grads.biases:
         if not np.isfinite(g).all():
-            raise GradientError("non-finite gradient")
+            raise TrainingDivergedError("non-finite gradient")
 
 
 def sgd_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
@@ -244,13 +237,6 @@ def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
         m_hat = state.m[i] / (1 - b1**state.t)
         v_hat = state.v[i] / (1 - b2**state.t)
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def optimizer_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
-    if state.kind == "adam":
-        adam_step(model, grads, state)
-    else:
-        sgd_step(model, grads, state)
 
 
 def get_flat_params(model: MLPModel) -> np.ndarray:

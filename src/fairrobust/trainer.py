@@ -21,8 +21,7 @@ import numpy as np
 from .adversaries import (
     FairnessAdversary,
     RobustnessAdversary,
-    fairness_objective_di,
-    fairness_objective_eo,
+    fairness_objective,
     new_fairness_adversary,
     new_robustness_adversary,
     robustness_objective,
@@ -32,6 +31,7 @@ from .metrics import MetricsReport, UndefinedGroupError, accuracy, compute_repor
 from .nnet import (
     MLPModel,
     MLPSpec,
+    TrainingDivergedError,
     adam_step,
     backward,
     forward,
@@ -50,10 +50,6 @@ FAIRNESS_CRITERIA = ("DI", "EO", "EOPP")
 
 class ConfigError(ValueError):
     """Invalid training configuration."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """Loss or gradients became non-finite during training."""
 
 
 @dataclass
@@ -198,45 +194,37 @@ def evaluate_model(model: MLPModel, d: Dataset) -> MetricsReport:
                           d.labels, d.sensitive, z_cardinality=d.z_cardinality)
 
 
+def _fairness_strata(criterion: str, labels: np.ndarray) -> np.ndarray:
+    """Per-row stratum of the fairness payoff: one stratum for DI, the label for
+    EO, and the positive-label rows alone (others left out, -1) for EOPP."""
+    if criterion == "DI":
+        return np.zeros_like(labels)
+    if criterion == "EO":
+        return labels
+    return np.where(labels == 1, 0, -1)
+
+
 class _FairnessSide:
-    """Owns the fairness adversary head(s) and their SGD states for one run."""
+    """Owns the fairness adversary heads, one per stratum, and their SGD states."""
 
     def __init__(self, criterion: str, z_cardinality: int, lr: float, seed: int):
-        self.criterion = criterion
         keys = (0, 1) if criterion == "EO" else (0,)
         seq = np.random.SeedSequence(seed).spawn(len(keys))
         self.heads = {}
+        self.optimizers = {}
         for key, child in zip(keys, seq):
             adv = new_fairness_adversary(z_cardinality, int(child.generate_state(1)[0]))
-            self.heads[key] = (adv, init_optimizer("sgd", lr, adv.model))
+            self.heads[key] = adv
+            self.optimizers[key] = init_optimizer("sgd", lr, adv.model)
 
-    def _evaluate(self, yhat, z, y, weights):
-        if self.criterion == "DI":
-            adv, _ = self.heads[0]
-            ev = fairness_objective_di(adv, yhat, z, weights)
-            return ev.value, ev.prediction_grad, {0: ev.adversary_grads}
-        if self.criterion == "EO":
-            heads = {k: adv for k, (adv, _) in self.heads.items()}
-            ev = fairness_objective_eo(heads, yhat, z, y, weights)
-            return ev.value, ev.prediction_grad, ev.head_grads
-        mask = y == 1
-        if not mask.any():
-            return 0.0, np.zeros_like(yhat), {}
-        adv, _ = self.heads[0]
-        ev = fairness_objective_di(adv, yhat[mask], z[mask], weights[mask])
-        grad = np.zeros_like(yhat)
-        grad[mask] = ev.prediction_grad
-        return ev.value, grad, {0: ev.adversary_grads}
+    def ascend(self, yhat, z, strata, weights) -> None:
+        ev = fairness_objective(self.heads, yhat, z, strata, weights)
+        for key, grads in ev.head_grads.items():
+            sgd_step(self.heads[key].model, grads.scaled(-1.0), self.optimizers[key])
 
-    def ascend(self, yhat, z, y, weights) -> None:
-        _, _, head_grads = self._evaluate(yhat, z, y, weights)
-        for key, grads in head_grads.items():
-            adv, opt = self.heads[key]
-            sgd_step(adv.model, grads.scaled(-1.0), opt)
-
-    def evaluate(self, yhat, z, y, weights):
-        value, pred_grad, _ = self._evaluate(yhat, z, y, weights)
-        return value, pred_grad
+    def evaluate(self, yhat, z, strata, weights):
+        ev = fairness_objective(self.heads, yhat, z, strata, weights)
+        return ev.value, ev.prediction_grad
 
 
 def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
@@ -255,10 +243,17 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
                           "(set lambda2 = 0 to disable robustness training)")
     if len(train) == 0:
         raise ConfigError("training set is empty")
-    if val is not None and len(val) > 0 and val.feature_dim != train.feature_dim:
-        raise ConfigError("train/validation feature dimensions differ")
+    if val is not None and len(val) > 0:
+        if val.feature_dim != train.feature_dim:
+            raise ConfigError("train/validation feature dimensions differ")
+        if val.sensitive.max() >= train.z_cardinality:
+            raise ConfigError(
+                f"validation group code {val.sensitive.max()} is out of range: validation "
+                f"z_cardinality is {val.z_cardinality}, training z_cardinality is "
+                f"{train.z_cardinality}")
 
     z, y, w0 = train.sensitive, train.labels, train.weights
+    strata = _fairness_strata(cfg.fairness_criterion, y)
     x = (
         _augment(train.features, z, train.z_cardinality)
         if cfg.sensitive_input
@@ -306,16 +301,16 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         """One adversary/generator round on the given rows (None = full batch)."""
         nonlocal weights, fairness_released
         if idx is None:
-            bx, braw, bz, by, bw0 = x, raw, z, y, w0
+            bx, braw, bz, by, bs, bw0 = x, raw, z, y, strata, w0
         else:
-            bx, braw, bz, by, bw0 = x[idx], raw[idx], z[idx], y[idx], w0[idx]
+            bx, braw, bz, by, bs, bw0 = x[idx], raw[idx], z[idx], y[idx], strata[idx], w0[idx]
         cache = forward_with_cache(gen, bx)
         yhat = cache.output.ravel()
         bweights = weights if idx is None else weights[idx]
 
         for _ in range(cfg.update_ratio):
             if fairness is not None and fairness_released:
-                fairness.ascend(yhat, bz, by, bweights)
+                fairness.ascend(yhat, bz, bs, bweights)
             if robustness is not None:
                 rv = robustness_objective(robustness, braw, bz, yhat,
                                           val.features, val.sensitive, val.labels)
@@ -350,7 +345,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         d_total = lam0 * d_l1
         l2 = 0.0
         if fairness is not None:
-            l2, fair_grad = fairness.evaluate(yhat, bz, by, bweights)
+            l2, fair_grad = fairness.evaluate(yhat, bz, bs, bweights)
             d_total = d_total + cfg.lambda1 * fair_grad
         l3 = rv.value if rv is not None else 0.0
         if rv is not None:

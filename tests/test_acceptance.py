@@ -18,8 +18,7 @@ from fairrobust.adversaries import (
     DiscreteJoint,
     cmi_exact,
     cmi_via_discriminator,
-    fairness_objective_di,
-    fairness_objective_eo,
+    fairness_objective,
     mi_exact,
     mi_via_discriminator,
     new_fairness_adversary,
@@ -205,16 +204,17 @@ def test_criterion_3_gradient_integrity():
 
         def l2_di(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = fairness_objective_di(fair, cache.output.ravel(), z, weights)
+            ev = fairness_objective({0: fair}, cache.output.ravel(), z, np.zeros(m, dtype=int),
+                                    weights)
             if not want_grads:
                 return ev.value
             gen_grads = backward(gen, cache, ev.prediction_grad[:, None])
             return np.concatenate([flatten_grads(gen_grads),
-                                   flatten_grads(ev.adversary_grads)])
+                                   flatten_grads(ev.head_grads[0])])
 
         def l2_eo(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = fairness_objective_eo(heads, cache.output.ravel(), z, y, weights)
+            ev = fairness_objective(heads, cache.output.ravel(), z, y, weights)
             if not want_grads:
                 return ev.value
             gen_grads = backward(gen, cache, ev.prediction_grad[:, None])

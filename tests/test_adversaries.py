@@ -11,8 +11,7 @@ from fairrobust.adversaries import (
     InvalidJointError,
     cmi_exact,
     cmi_via_discriminator,
-    fairness_objective_di,
-    fairness_objective_eo,
+    fairness_objective,
     mi_exact,
     mi_via_discriminator,
     new_fairness_adversary,
@@ -143,7 +142,7 @@ def test_fairness_di_uniform_adversary_balanced_groups():
     adv = _uniform_adversary(2)
     yhat = np.array([0.2, 0.9, 0.4, 0.7])
     z = np.array([0, 1, 1, 0])
-    ev = fairness_objective_di(adv, yhat, z)
+    ev = fairness_objective({0: adv}, yhat, z, np.zeros(4, dtype=int))
     # (1/m) * m * log(1/2) + ln 2 = 0
     assert ev.value == pytest.approx(0.0, abs=1e-12)
 
@@ -189,8 +188,35 @@ def test_fairness_eo_uniform_adversary_balanced():
     yhat = np.array([0.2, 0.8, 0.3, 0.7])
     z = np.array([0, 1, 0, 1])
     y = np.array([0, 0, 1, 1])
-    ev = fairness_objective_eo(heads, yhat, z, y)
+    ev = fairness_objective(heads, yhat, z, y)
     assert ev.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fairness_left_out_rows_carry_no_payoff_or_gradient():
+    adv = new_fairness_adversary(2, seed=3)
+    yhat = np.array([0.2, 0.9, 0.4, 0.7, 0.6])
+    z = np.array([0, 1, 1, 0, 1])
+    strata = np.array([0, -1, 0, 0, -1])
+    ev = fairness_objective({0: adv}, yhat, z, strata)
+    kept = strata >= 0
+    alone = fairness_objective({0: adv}, yhat[kept], z[kept], np.zeros(3, dtype=int))
+    assert ev.value == alone.value
+    assert np.array_equal(ev.prediction_grad[kept], alone.prediction_grad)
+    assert np.all(ev.prediction_grad[~kept] == 0.0)
+
+
+def test_fairness_no_kept_rows_is_zero_without_gradients():
+    ev = fairness_objective({0: _uniform_adversary(2)}, [0.3, 0.8], [0, 1], [-1, -1])
+    assert ev.value == 0.0 and ev.head_grads == {}
+    assert np.array_equal(ev.prediction_grad, np.zeros(2))
+
+
+def test_fairness_rejects_empty_input_and_missing_head():
+    adv = _uniform_adversary(2)
+    with pytest.raises(ValueError):
+        fairness_objective({0: adv}, [], [], [])
+    with pytest.raises(ValueError, match="stratum 1"):
+        fairness_objective({0: adv}, [0.3, 0.8], [0, 1], [0, 1])
 
 
 def test_fairness_eo_fixture_matches_conditional_mi():
@@ -320,14 +346,15 @@ def test_fairness_gradients_match_finite_differences():
     yhat = rng.uniform(0.1, 0.9, 12)
     z = rng.integers(0, 2, 12)
     w = rng.uniform(0.3, 2.0, 12)
-    ev = fairness_objective_di(adv, yhat, z, w)
+    s = np.zeros(12, dtype=int)
+    ev = fairness_objective({0: adv}, yhat, z, s, w)
     numeric = _check_adversary_gradient(
-        lambda: fairness_objective_di(adv, yhat, z, w).value, adv.model)
-    analytic = flatten_grads(ev.adversary_grads)
+        lambda: fairness_objective({0: adv}, yhat, z, s, w).value, adv.model)
+    analytic = flatten_grads(ev.head_grads[0])
     assert np.abs(analytic - numeric).max() < 1e-6
     # Gradient through the predictions.
     def f_pred(flat):
-        return fairness_objective_di(adv, flat, z, w).value
+        return fairness_objective({0: adv}, flat, z, s, w).value
 
     numeric_pred = numeric_gradient(f_pred, yhat)
     assert np.abs(ev.prediction_grad - numeric_pred).max() < 1e-6
@@ -366,7 +393,8 @@ def test_fairness_objective_permutation_invariant(seed):
     if len(set(z.tolist())) < 2:
         z[0], z[1] = 0, 1
     w = rng.uniform(0.1, 2.0, 10)
-    base = fairness_objective_di(adv, yhat, z, w).value
+    s = np.zeros(10, dtype=int)
+    base = fairness_objective({0: adv}, yhat, z, s, w).value
     order = rng.permutation(10)
-    permuted = fairness_objective_di(adv, yhat[order], z[order], w[order]).value
+    permuted = fairness_objective({0: adv}, yhat[order], z[order], s, w[order]).value
     assert permuted == pytest.approx(base, rel=1e-12)

@@ -96,8 +96,11 @@ def test_split_all_train():
 def test_split_union_recovers_input():
     ds = generate_synthetic(SyntheticSpec(n=521), seed=4)
     parts = split(ds, (0.6, 0.25, 0.15), seed=9)
-    rows = {tuple(e.features) + (e.sensitive, e.label) for part in parts for e in part}
-    original = {tuple(e.features) + (e.sensitive, e.label) for e in ds}
+    def rows_of(d):
+        return set(map(tuple, np.column_stack([d.features, d.sensitive, d.labels])))
+
+    rows = set().union(*(rows_of(part) for part in parts))
+    original = rows_of(ds)
     assert rows == original
     assert sum(len(p) for p in parts) == len(ds)
 
@@ -135,6 +138,18 @@ def test_csv_non_numeric_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,z,y\n0.1,0,1\noops,1,0\n")
     with pytest.raises(DataError, match="row 2.*x0"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("body,column", [
+    ("nan,0,1,1.0", "x0"),
+    ("0.1,0,1,inf", "w"),
+    ("-inf,1,0,1.0", "x0"),
+])
+def test_csv_non_finite_cell_names_row_and_column(tmp_path, body, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,z,y,w\n0.1,0,1,1.0\n{body}\n")
+    with pytest.raises(DataError, match=f"row 2.*{column}"):
         load_csv(path)
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrobust.nnet import (
-    GradientError,
     Gradients,
     MLPModel,
     MLPSpec,
+    TrainingDivergedError,
     adam_step,
     backward,
     flatten_grads,
@@ -140,7 +140,7 @@ def test_nonfinite_gradient_raises():
     model = init_model(MLPSpec(input_dim=2, hidden_dim=0, output_dim=1), seed=4)
     bad = Gradients([np.full_like(model.weights[0], np.inf)],
                     [np.zeros_like(model.biases[0])], np.zeros((1, 2)))
-    with pytest.raises(GradientError):
+    with pytest.raises(TrainingDivergedError):
         sgd_step(model, bad, init_optimizer("sgd", 0.1, model))
 
 

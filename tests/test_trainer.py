@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairrobust import benchmarks
 from fairrobust.dataset import Dataset, SyntheticSpec, generate_synthetic, split
 from fairrobust.metrics import disparate_impact
 from fairrobust.nnet import get_flat_params
 from fairrobust.trainer import (
     ConfigError,
     TrainConfig,
+    TrainingDivergedError,
     compute_example_weights,
     decide,
     evaluate_model,
@@ -132,6 +135,24 @@ def test_lambda2_requires_validation(datasets):
         train_fair_robust(train, None, small_config(lambda2=0.2))
 
 
+def test_nan_feature_row_raises_training_diverged(datasets):
+    train, val, _ = datasets
+    features = train.features.copy()
+    features[3, 0] = np.nan
+    bad = Dataset(features, train.sensitive, train.labels, z_cardinality=train.z_cardinality)
+    with pytest.raises(TrainingDivergedError):
+        train_fair_robust(bad, val, small_config(lambda1=0.3, lambda2=0.2, epochs=5))
+
+
+def test_validation_group_beyond_training_cardinality_is_config_error(datasets):
+    train, val, _ = datasets
+    sensitive = val.sensitive.copy()
+    sensitive[0] = 2
+    val3 = Dataset(val.features, sensitive, val.labels, z_cardinality=3)
+    with pytest.raises(ConfigError, match="z_cardinality is 3.*z_cardinality is 2"):
+        train_fair_robust(train, val3, small_config(lambda1=0.3, lambda2=0.2, epochs=5))
+
+
 def test_invalid_lambda_combination():
     with pytest.raises(ConfigError):
         TrainConfig(lambda1=0.7, lambda2=0.4)
@@ -172,3 +193,42 @@ def test_evaluate_model_reports(datasets):
     report = evaluate_model(model, test)
     assert 0.5 < report.accuracy <= 1.0
     assert 0.0 <= report.disparate_impact <= 1.0
+
+
+HISTORY_COLUMNS = ("l1", "l2", "l3", "l_c", "l_d", "r", "probe_accuracy", "probe_di")
+
+
+@pytest.fixture(scope="module")
+def golden_datasets():
+    train, val, _ = benchmarks.benchmark_datasets(0, 0.1)
+    return train, val
+
+
+def golden_run(train, val, criterion, batch_size):
+    """sha256 of all history columns and final generator parameters, plus a
+    fingerprint: each column's index-weighted sum followed by the parameters."""
+    cfg = replace(benchmarks.poisoned_config(0), fairness_criterion=criterion,
+                  batch_size=batch_size, epochs=40, pretrain_epochs=10)
+    model, hist = train_fair_robust(train, val, cfg)
+    cols = np.array([getattr(hist, c) for c in HISTORY_COLUMNS])
+    params = get_flat_params(model)
+    digest = hashlib.sha256(cols.tobytes() + params.tobytes()).hexdigest()
+    fingerprint = np.concatenate([cols @ np.arange(1, cols.shape[1] + 1), params])
+    return digest, fingerprint
+
+
+GOLDEN = {
+    ('DI', 0): [732.2263575113644, -10.814213679181082, 16.29180516355312, 732.2263575188764, 16.29180516355312, 819.9999999808299, 389.45875, 659.6697783065677, -0.26015236345789333, 0.4101451233900105, 0.5904367303540982, -0.908690490948115, 0.05780784327451192],
+    ('DI', 256): [561.747302459272, -22.25271843504725, 30.771128440660675, 561.7484819122235, 30.771128440660675, 819.9971681206492, 537.663125, 578.3629926248514, 0.2581116504588523, 0.41226017731983805, 0.4587235521811898, -0.872015996871671, -0.020194185947888982],
+    ('EO', 0): [742.8404323623536, -18.201276412741556, 17.00045325387317, 742.8404323712075, 17.00045325387317, 819.9999999777044, 385.726875, 673.2700760061558, -0.2771446219191438, 0.4326222723689097, 0.577950837029488, -0.9025873583915992, 0.06966760121390991],
+    ('EO', 256): [549.8743183243682, -9.767269228597833, 31.637431834388043, 549.875479908733, 31.637431834388043, 819.9971900178457, 540.389375, 565.2423640929612, 0.24839663949251098, 0.291709784233282, 0.293615303315597, -0.47826993420138014, 0.09453725118185059],
+    ('EOPP', 0): [686.1625615929257, -3.5310082459256327, 5.929753241906672, 686.1625615929257, 5.929753241906672, 820.0, 486.61812499999996, 440.06929849636134, -0.22750511154075323, 0.8195267150284175, 0.6093996841366104, -0.9004248537861085, -0.16573471593383465],
+    ('EOPP', 256): [542.9221631242416, -11.664607270497495, 20.322266441938563, 542.9221802889826, 20.322266441938563, 819.999958316825, 599.8925, 447.11908443504507, 0.07402046890742855, 0.4809086123118562, -0.3594271916108873, 0.000599033022834268, 0.01228965148032014],
+}
+
+
+@pytest.mark.parametrize("criterion,batch_size", sorted(GOLDEN))
+def test_golden_history_and_parameters(golden_datasets, criterion, batch_size):
+    digest, fingerprint = golden_run(*golden_datasets, criterion, batch_size)
+    print(f"golden {criterion} batch_size={batch_size} sha256 {digest}")
+    np.testing.assert_allclose(fingerprint, GOLDEN[criterion, batch_size], rtol=1e-9, atol=0)
