@@ -42,6 +42,7 @@ from .adversaries import (
     mi_exact,
     mi_via_discriminator,
     robustness_objective,
+    robustness_rows,
 )
 from .poison import PoisonBudgetError, PoisonSpec, flip_labels
 from .trainer import (

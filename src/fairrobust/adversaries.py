@@ -19,6 +19,16 @@ Two kinds of machinery live here:
   objective returns the payoff value together with exact gradients for the
   adversary parameters and for the predictions, so the same evaluation serves
   both the ascent and descent sides of training.
+
+What an evaluation computes, and when: the fairness payoff always computes
+its value and the heads' gradients, and the prediction gradient unless
+``prediction_grad=False`` (an ascent step reads only the head gradients). The
+robustness payoff always computes its value, the prediction gradient (which is
+analytic, from the forward pass) and the per-row slot scores; the two backward
+passes for the adversary's weight and bias gradients run only with
+``param_grads=True``, the default, which an ascent step needs and the
+generator's evaluation does not. The robustness adversary's input rows do not
+depend on the predictions, so ``robustness_rows`` builds them once per run.
 """
 
 from __future__ import annotations
@@ -299,23 +309,67 @@ def robustness_inputs(features, z, label_slot, z_cardinality: int) -> np.ndarray
     return np.hstack([features, onehot, slot])
 
 
+@dataclass(frozen=True)
+class RobustnessRows:
+    """The robustness adversary's input rows, which do not depend on predictions.
+
+    ``train`` holds (x_i, onehot z_i, 1) for every training row, followed by
+    (x_i, onehot z_i, 0) for every training row, so one forward pass scores
+    both label slots; ``val`` holds (x_j, onehot z_j, y_j).
+    """
+
+    train: np.ndarray
+    val: np.ndarray
+
+    def train_rows(self, idx=None) -> np.ndarray:
+        """Both label slots of the training rows ``idx`` (None = all rows)."""
+        if idx is None:
+            return self.train
+        idx = np.asarray(idx, dtype=np.int64)
+        return self.train[np.concatenate([idx, idx + len(self.train) // 2])]
+
+
+def robustness_rows(adv: RobustnessAdversary, train_features, train_z, val_features,
+                    val_z, val_labels) -> RobustnessRows:
+    """Build the constant input rows of ``robustness_objective`` for one run."""
+    x_va = robustness_inputs(val_features, val_z, val_labels, adv.z_cardinality)
+    if len(x_va) == 0:
+        raise ValueError("validation set must be nonempty")
+    x_pos = robustness_inputs(train_features, train_z, np.ones(len(train_z)),
+                              adv.z_cardinality)
+    if len(x_pos) == 0:
+        raise ValueError("training set must be nonempty")
+    x_neg = x_pos.copy()
+    x_neg[:, -1] = 0.0
+    return RobustnessRows(np.vstack([x_pos, x_neg]), x_va)
+
+
 @dataclass
 class FairnessEval:
     value: float
     head_grads: dict[int, Gradients]
-    prediction_grad: np.ndarray
+    prediction_grad: np.ndarray | None  # None when evaluated with prediction_grad=False
 
 
 @dataclass
 class RobustnessEval:
+    """One evaluation of the robustness payoff.
+
+    ``value``, ``prediction_grad`` and ``slot_scores`` come from the forward
+    pass and are always set. ``weight_grads`` and ``bias_grads`` need two
+    backward passes and are None when evaluated with ``param_grads=False``.
+    """
+
     value: float
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
+    weight_grads: list[np.ndarray] | None
+    bias_grads: list[np.ndarray] | None
     prediction_grad: np.ndarray
     slot_scores: np.ndarray  # (m, 2): D(x_i, z_i, 0) and D(x_i, z_i, 1) per training row
 
     def adversary_grads(self) -> Gradients:
-        return Gradients(self.weight_grads, self.bias_grads, np.zeros(0))
+        if self.weight_grads is None:
+            raise ValueError("evaluated without parameter gradients (param_grads=False)")
+        return Gradients(self.weight_grads, self.bias_grads, None)
 
     def label_scores(self, labels) -> np.ndarray:
         """D(x_i, z_i, y_i): each training row scored with its own label."""
@@ -324,7 +378,7 @@ class RobustnessEval:
 
 
 def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, strata,
-                       weights=None) -> FairnessEval:
+                       weights=None, prediction_grad: bool = True) -> FairnessEval:
     """Stratified fairness payoff (1/m) sum_i w_i log D^{s_i}_{z_i}(yhat_i) + H(Z | S).
 
     Row i is scored by the head of its stratum s_i. Rows with s_i < 0 are left
@@ -332,7 +386,8 @@ def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, stra
     group entropy of the kept rows, a constant with no gradient. At the heads'
     optimum the payoff estimates I(Z; Yhat | S); driving it to zero makes
     predictions carry no group information within any stratum. With no row
-    kept the payoff is 0 and no head gets gradients.
+    kept the payoff is 0 and no head gets gradients. The prediction gradient
+    is computed only when ``prediction_grad`` is set.
     """
     predictions = np.asarray(predictions, dtype=np.float64).reshape(-1)
     z = np.asarray(z, dtype=np.int64).reshape(-1)
@@ -341,7 +396,7 @@ def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, stra
     if n == 0 or len(z) != n or len(strata) != n:
         raise ValueError("predictions, z, strata must be nonempty and equal length")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    prediction_grad = np.zeros(n)
+    pred_grad = np.zeros(n) if prediction_grad else None
     head_grads: dict[int, Gradients] = {}
     kept = strata >= 0
     m = int(kept.sum())
@@ -362,17 +417,18 @@ def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, stra
         payoffs.append(float((ws * np.log(picked)).sum() / m))
         d_probs = np.zeros_like(probs)
         d_probs[rows, zs] = ws / (m * picked)
-        grads = backward(model, cache, d_probs)
+        grads = backward(model, cache, d_probs, input_grad=prediction_grad)
         head_grads[sv] = grads
-        prediction_grad[mask] = grads.inputs[:, 0]
+        if prediction_grad:
+            pred_grad[mask] = grads.inputs[:, 0]
     value = entropy  # float addition does not associate: this order is part of the result
     for payoff in payoffs:
         value += payoff
-    return FairnessEval(value, head_grads, prediction_grad)
+    return FairnessEval(value, head_grads, pred_grad)
 
 
-def robustness_objective(adv: RobustnessAdversary, train_features, train_z,
-                         train_predictions, val_features, val_z, val_labels) -> RobustnessEval:
+def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_predictions,
+                         idx=None, param_grads: bool = True) -> RobustnessEval:
     """Balanced real-vs-generated payoff between validation rows and training rows.
 
     Validation rows carry their true labels y in {0, 1}. A training row carries
@@ -386,20 +442,21 @@ def robustness_objective(adv: RobustnessAdversary, train_features, train_z,
     optimum equals I(V; (X, Z, Yhat)) for the source indicator V. The payoff is
     affine in each yhat_i, with prediction gradient
     [log(1 - D(., 1)) - log(1 - D(., 0))] / 2m.
+
+    ``rows`` comes from ``robustness_rows``; ``idx`` selects the training rows
+    of a mini-batch (None = all), and ``train_predictions`` holds one yhat per
+    selected row. The adversary's parameter gradients are computed only when
+    ``param_grads`` is set.
     """
     yhat = np.asarray(train_predictions, dtype=np.float64).reshape(-1)
-    x_pos = robustness_inputs(train_features, train_z, np.ones_like(yhat), adv.z_cardinality)
-    x_va = robustness_inputs(val_features, val_z, val_labels, adv.z_cardinality)
-    m_tr, m_va = len(x_pos), len(x_va)
-    if m_va == 0:
-        raise ValueError("validation set must be nonempty")
-    if m_tr == 0:
-        raise ValueError("training set must be nonempty")
-    x_neg = x_pos.copy()
-    x_neg[:, -1] = 0.0
-    cache_tr = forward_with_cache(adv.model, np.vstack([x_pos, x_neg]))
-    cache_va = forward_with_cache(adv.model, x_va)
-    d_pos, d_neg = np.split(cache_tr.output.ravel(), 2)
+    x_tr = rows.train_rows(idx)
+    m_tr, m_va = len(yhat), len(rows.val)
+    if len(x_tr) != 2 * m_tr:
+        raise ValueError(f"{m_tr} predictions for {len(x_tr) // 2} training rows")
+    cache_tr = forward_with_cache(adv.model, x_tr)
+    cache_va = forward_with_cache(adv.model, rows.val)
+    d_tr = cache_tr.output.ravel()
+    d_pos, d_neg = d_tr[:m_tr], d_tr[m_tr:]
     d_va = cache_va.output.ravel()
     log_pos = np.log(1.0 - d_pos)
     log_neg = np.log(1.0 - d_neg)
@@ -408,13 +465,15 @@ def robustness_objective(adv: RobustnessAdversary, train_features, train_z,
         + float((yhat * log_pos + (1.0 - yhat) * log_neg).sum()) / (2.0 * m_tr)
         + math.log(2.0)
     )
-    up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
-    up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
-             / (2.0 * m_tr))[:, None]
-    g_va = backward(adv.model, cache_va, up_va)
-    g_tr = backward(adv.model, cache_tr, up_tr)
-    weight_grads = [a + b for a, b in zip(g_va.weights, g_tr.weights)]
-    bias_grads = [a + b for a, b in zip(g_va.biases, g_tr.biases)]
+    weight_grads = bias_grads = None
+    if param_grads:
+        up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
+        up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
+                 / (2.0 * m_tr))[:, None]
+        g_va = backward(adv.model, cache_va, up_va, input_grad=False)
+        g_tr = backward(adv.model, cache_tr, up_tr, input_grad=False)
+        weight_grads = [a + b for a, b in zip(g_va.weights, g_tr.weights)]
+        bias_grads = [a + b for a, b in zip(g_va.biases, g_tr.biases)]
     return RobustnessEval(
         value=value,
         weight_grads=weight_grads,

@@ -43,6 +43,11 @@ class Dataset:
             raise DataError("features, sensitive, labels, weights must have equal length")
         if z_cardinality < 2:
             raise DataError(f"z_cardinality must be >= 2, got {z_cardinality}")
+        for name, arr in (("features", features), ("weights", weights)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                at = tuple(bad[0].tolist())
+                raise DataError(f"{name}{list(at)} is non-finite ({arr[at]})")
         if n:
             if sensitive.min() < 0 or sensitive.max() >= z_cardinality:
                 raise DataError("sensitive codes must lie in [0, z_cardinality)")

@@ -71,12 +71,10 @@ def clip_probs(p: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -98,11 +96,12 @@ class ForwardCache:
 class Gradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    inputs: np.ndarray
+    inputs: np.ndarray | None  # None when the input gradient was not asked for
 
     def scaled(self, s: float) -> "Gradients":
         return Gradients(
-            [s * w for w in self.weights], [s * b for b in self.biases], s * self.inputs
+            [s * w for w in self.weights], [s * b for b in self.biases],
+            None if self.inputs is None else s * self.inputs,
         )
 
 
@@ -132,8 +131,13 @@ def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return forward_with_cache(model, x).output
 
 
-def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray) -> Gradients:
-    """Exact reverse-mode gradients given dLoss/dOutput; also returns dLoss/dInput."""
+def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
+             input_grad: bool = True) -> Gradients:
+    """Exact reverse-mode gradients given dLoss/dOutput.
+
+    dLoss/dInput is returned as ``inputs`` when ``input_grad`` is set, and left
+    as None otherwise; the parameter gradients are the same either way.
+    """
     spec = model.spec
     d_output = np.asarray(d_output, dtype=np.float64)
     if d_output.shape != cache.output.shape:
@@ -146,7 +150,7 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray) -> Grad
     if spec.hidden_dim == 0:
         d_w = cache.x.T @ d_logits
         d_b = d_logits.sum(axis=0)
-        d_x = d_logits @ model.weights[0].T
+        d_x = d_logits @ model.weights[0].T if input_grad else None
         return Gradients([d_w], [d_b], d_x)
     d_w2 = cache.hidden.T @ d_logits
     d_b2 = d_logits.sum(axis=0)
@@ -157,7 +161,7 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray) -> Grad
         d_pre = d_hidden * (1.0 - cache.hidden**2)
     d_w1 = cache.x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
-    d_x = d_pre @ model.weights[0].T
+    d_x = d_pre @ model.weights[0].T if input_grad else None
     return Gradients([d_w1, d_w2], [d_b1, d_b2], d_x)
 
 

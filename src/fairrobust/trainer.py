@@ -25,6 +25,7 @@ from .adversaries import (
     new_fairness_adversary,
     new_robustness_adversary,
     robustness_objective,
+    robustness_rows,
 )
 from .dataset import Dataset
 from .metrics import MetricsReport, UndefinedGroupError, accuracy, compute_report, disparate_impact
@@ -218,7 +219,7 @@ class _FairnessSide:
             self.optimizers[key] = init_optimizer("sgd", lr, adv.model)
 
     def ascend(self, yhat, z, strata, weights) -> None:
-        ev = fairness_objective(self.heads, yhat, z, strata, weights)
+        ev = fairness_objective(self.heads, yhat, z, strata, weights, prediction_grad=False)
         for key, grads in ev.head_grads.items():
             sgd_step(self.heads[key].model, grads.scaled(-1.0), self.optimizers[key])
 
@@ -276,11 +277,13 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         fairness = _FairnessSide(cfg.fairness_criterion, train.z_cardinality,
                                  cfg.disc_lr, seeds[1])
     robustness = None
-    opt_rob = None
+    opt_rob = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
                                               cfg.robust_hidden, seeds[2])
         opt_rob = init_optimizer("sgd", cfg.disc_lr, robustness.model)
+        rob_rows = robustness_rows(robustness, train.features, z,
+                                   val.features, val.sensitive, val.labels)
 
     batch_rng = np.random.default_rng(seeds[3])
     history = TrainHistory()
@@ -288,22 +291,20 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     for _ in range(cfg.pretrain_epochs):
         cache = forward_with_cache(gen, x)
         _, d_l1 = weighted_cross_entropy_grad(cache.output.ravel(), y, w0)
-        adam_step(gen, backward(gen, cache, (lam0 * d_l1)[:, None]), opt_gen)
+        adam_step(gen, backward(gen, cache, (lam0 * d_l1)[:, None], input_grad=False), opt_gen)
 
     weights = w0.copy()
     fairness_released = False
     gate_epoch = int(cfg.unfreeze_epoch_fraction * cfg.epochs)
     state = {"suspension_warned": False}
 
-    raw = train.features
-
     def run_round(idx: np.ndarray | None):
         """One adversary/generator round on the given rows (None = full batch)."""
         nonlocal weights, fairness_released
         if idx is None:
-            bx, braw, bz, by, bs, bw0 = x, raw, z, y, strata, w0
+            bx, bz, by, bs, bw0 = x, z, y, strata, w0
         else:
-            bx, braw, bz, by, bs, bw0 = x[idx], raw[idx], z[idx], y[idx], strata[idx], w0[idx]
+            bx, bz, by, bs, bw0 = x[idx], z[idx], y[idx], strata[idx], w0[idx]
         cache = forward_with_cache(gen, bx)
         yhat = cache.output.ravel()
         bweights = weights if idx is None else weights[idx]
@@ -312,16 +313,14 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
             if fairness is not None and fairness_released:
                 fairness.ascend(yhat, bz, bs, bweights)
             if robustness is not None:
-                rv = robustness_objective(robustness, braw, bz, yhat,
-                                          val.features, val.sensitive, val.labels)
+                rv = robustness_objective(robustness, rob_rows, yhat, idx)
                 sgd_step(robustness.model,
                          rv.adversary_grads().scaled(-1.0), opt_rob)
 
         l_c = l_d = r_gate = float("nan")
         rv = None
         if robustness is not None:
-            rv = robustness_objective(robustness, braw, bz, yhat,
-                                      val.features, val.sensitive, val.labels)
+            rv = robustness_objective(robustness, rob_rows, yhat, idx, param_grads=False)
         if cfg.reweight and rv is not None:
             l_c = weighted_cross_entropy(yhat, by, bw0)
             l_d = rv.value
@@ -354,7 +353,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         if not math.isfinite(total):
             raise TrainingDivergedError(
                 f"non-finite objective (l1={l1}, l2={l2}, l3={l3})")
-        adam_step(gen, backward(gen, cache, d_total[:, None]), opt_gen)
+        adam_step(gen, backward(gen, cache, d_total[:, None], input_grad=False), opt_gen)
         return l1, l2, l3, l_c, l_d, r_gate
 
     for epoch in range(cfg.epochs):

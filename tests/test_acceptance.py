@@ -24,6 +24,7 @@ from fairrobust.adversaries import (
     new_fairness_adversary,
     new_robustness_adversary,
     robustness_objective,
+    robustness_rows,
 )
 from fairrobust.dataset import Dataset, load_csv, save_csv, split
 from fairrobust.harness import error_range
@@ -224,8 +225,8 @@ def test_criterion_3_gradient_integrity():
 
         def l3(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = robustness_objective(rob, x, z, cache.output.ravel(),
-                                      x_va, z_va, y_va)
+            ev = robustness_objective(rob, robustness_rows(rob, x, z, x_va, z_va, y_va),
+                                      cache.output.ravel())
             if not want_grads:
                 return ev.value
             gen_grads = backward(gen, cache, ev.prediction_grad[:, None])

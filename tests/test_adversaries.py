@@ -18,12 +18,15 @@ from fairrobust.adversaries import (
     new_robustness_adversary,
     robustness_inputs,
     robustness_objective,
+    robustness_rows,
     table_objective,
 )
 from fairrobust.metrics import empirical_entropy
 from fairrobust.nnet import (
+    backward,
     flatten_grads,
     forward,
+    forward_with_cache,
     get_flat_params,
     numeric_gradient,
     set_flat_params,
@@ -251,11 +254,10 @@ def test_robustness_uniform_adversary_is_zero():
     for p in adv.model.weights + adv.model.biases:
         p[...] = 0.0
     rng = np.random.default_rng(0)
-    ev = robustness_objective(
-        adv,
-        rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.uniform(0.1, 0.9, 6),
-        rng.normal(size=(4, 2)), rng.integers(0, 2, 4), rng.integers(0, 2, 4),
-    )
+    x_tr, z_tr, yhat = rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.uniform(0.1, 0.9, 6)
+    rows = robustness_rows(adv, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
+                           rng.integers(0, 2, 4))
+    ev = robustness_objective(adv, rows, yhat)
     assert ev.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -286,8 +288,7 @@ def test_robustness_optimum_matches_exact_mi_on_discrete_fixture():
 def test_robustness_empty_validation_rejected():
     adv = new_robustness_adversary(2, 2, 4, seed=1)
     with pytest.raises(ValueError):
-        robustness_objective(adv, np.zeros((3, 2)), [0, 1, 0], [0.5, 0.5, 0.5],
-                             np.zeros((0, 2)), [], [])
+        robustness_rows(adv, np.zeros((3, 2)), [0, 1, 0], np.zeros((0, 2)), [], [])
 
 
 def test_robustness_payoff_affine_in_each_prediction():
@@ -303,8 +304,10 @@ def test_robustness_payoff_affine_in_each_prediction():
     z_va = rng.integers(0, 2, 5)
     y_va = rng.integers(0, 2, 5)
 
+    rows = robustness_rows(adv, x_tr, z_tr, x_va, z_va, y_va)
+
     def payoff(predictions):
-        return robustness_objective(adv, x_tr, z_tr, predictions, x_va, z_va, y_va).value
+        return robustness_objective(adv, rows, predictions).value
 
     base = payoff(yhat)
     for i in range(len(yhat)):
@@ -320,11 +323,95 @@ def test_robustness_label_scores_use_each_rows_own_label():
     x_tr = rng.normal(size=(8, 2))
     z_tr = rng.integers(0, 2, 8)
     y_tr = rng.integers(0, 2, 8)
-    ev = robustness_objective(adv, x_tr, z_tr, rng.uniform(0.1, 0.9, 8),
-                              rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
-                              rng.integers(0, 2, 4))
+    rows = robustness_rows(adv, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
+                           rng.integers(0, 2, 4))
+    ev = robustness_objective(adv, rows, rng.uniform(0.1, 0.9, 8))
     expected = forward(adv.model, robustness_inputs(x_tr, z_tr, y_tr, 2)).ravel()
     assert np.allclose(ev.label_scores(y_tr), expected, rtol=0, atol=1e-15)
+
+
+def _reference_robustness(adv, x_tr, z_tr, yhat, x_va, z_va, y_va):
+    """The robustness payoff with every input row rebuilt and full backward passes."""
+    x_pos = robustness_inputs(x_tr, z_tr, np.ones_like(yhat), adv.z_cardinality)
+    x_va = robustness_inputs(x_va, z_va, y_va, adv.z_cardinality)
+    x_neg = x_pos.copy()
+    x_neg[:, -1] = 0.0
+    m_tr, m_va = len(x_pos), len(x_va)
+    cache_tr = forward_with_cache(adv.model, np.vstack([x_pos, x_neg]))
+    cache_va = forward_with_cache(adv.model, x_va)
+    d_pos, d_neg = np.split(cache_tr.output.ravel(), 2)
+    d_va = cache_va.output.ravel()
+    log_pos = np.log(1.0 - d_pos)
+    log_neg = np.log(1.0 - d_neg)
+    value = (
+        float(np.log(d_va).mean()) / 2.0
+        + float((yhat * log_pos + (1.0 - yhat) * log_neg).sum()) / (2.0 * m_tr)
+        + math.log(2.0)
+    )
+    up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
+    up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
+             / (2.0 * m_tr))[:, None]
+    g_va = backward(adv.model, cache_va, up_va)
+    g_tr = backward(adv.model, cache_tr, up_tr)
+    return {
+        "value": value,
+        "weight_grads": [a + b for a, b in zip(g_va.weights, g_tr.weights)],
+        "bias_grads": [a + b for a, b in zip(g_va.biases, g_tr.biases)],
+        "prediction_grad": (log_pos - log_neg) / (2.0 * m_tr),
+        "slot_scores": np.column_stack([d_neg, d_pos]),
+    }
+
+
+@pytest.mark.parametrize("batch", [None, 64])
+def test_hoisted_robustness_paths_equal_reference_bit_for_bit(batch):
+    rng = np.random.default_rng(21)
+    adv = new_robustness_adversary(2, 3, 8, seed=22)
+    for p in adv.model.biases:
+        p[...] = rng.normal(scale=0.3, size=p.shape)
+    m = 300
+    x_tr, z_tr = rng.normal(size=(m, 2)), rng.integers(0, 3, m)
+    x_va, z_va, y_va = rng.normal(size=(40, 2)), rng.integers(0, 3, 40), rng.integers(0, 2, 40)
+    idx = None if batch is None else rng.permutation(m)[:batch]
+    yhat = rng.uniform(0.05, 0.95, m if idx is None else batch)
+    rows = robustness_rows(adv, x_tr, z_tr, x_va, z_va, y_va)
+    sel = slice(None) if idx is None else idx
+    ref = _reference_robustness(adv, x_tr[sel], z_tr[sel], yhat, x_va, z_va, y_va)
+
+    ascent = robustness_objective(adv, rows, yhat, idx)
+    evaluation = robustness_objective(adv, rows, yhat, idx, param_grads=False)
+    for ev in (ascent, evaluation):
+        assert ev.value == ref["value"]
+        assert np.array_equal(ev.prediction_grad, ref["prediction_grad"])
+        assert np.array_equal(ev.slot_scores, ref["slot_scores"])
+    for key in ("weight_grads", "bias_grads"):
+        for got, want in zip(getattr(ascent, key), ref[key], strict=True):
+            assert np.array_equal(got, want)
+        assert getattr(evaluation, key) is None
+    with pytest.raises(ValueError, match="param_grads"):
+        evaluation.adversary_grads()
+
+
+def test_robustness_rows_reject_a_prediction_count_mismatch():
+    adv = new_robustness_adversary(2, 2, 4, seed=23)
+    rows = robustness_rows(adv, np.zeros((5, 2)), [0, 1, 0, 1, 0], np.zeros((2, 2)),
+                           [0, 1], [1, 0])
+    with pytest.raises(ValueError, match="4 predictions for 5 training rows"):
+        robustness_objective(adv, rows, np.full(4, 0.5))
+
+
+def test_fairness_ascent_without_prediction_grad_keeps_value_and_head_grads():
+    rng = np.random.default_rng(24)
+    heads = {0: new_fairness_adversary(2, seed=25), 1: new_fairness_adversary(2, seed=26)}
+    yhat = rng.uniform(0.05, 0.95, 50)
+    z, y, w = rng.integers(0, 2, 50), rng.integers(0, 2, 50), rng.uniform(0.2, 1.5, 50)
+    full = fairness_objective(heads, yhat, z, y, w)
+    ascent = fairness_objective(heads, yhat, z, y, w, prediction_grad=False)
+    assert ascent.prediction_grad is None and full.prediction_grad.shape == (50,)
+    assert ascent.value == full.value
+    for key in (0, 1):
+        got, want = ascent.head_grads[key], full.head_grads[key]
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+            assert np.array_equal(a, b)
 
 
 def _check_adversary_gradient(objective, model):
@@ -369,15 +456,15 @@ def test_robustness_gradients_match_finite_differences():
     x_va = rng.normal(size=(5, 2))
     z_va = rng.integers(0, 2, 5)
     y_va = rng.integers(0, 2, 5)
-    ev = robustness_objective(adv, x_tr, z_tr, yhat, x_va, z_va, y_va)
+    rows = robustness_rows(adv, x_tr, z_tr, x_va, z_va, y_va)
+    ev = robustness_objective(adv, rows, yhat)
     numeric = _check_adversary_gradient(
-        lambda: robustness_objective(adv, x_tr, z_tr, yhat, x_va, z_va, y_va).value,
-        adv.model)
+        lambda: robustness_objective(adv, rows, yhat).value, adv.model)
     analytic = np.concatenate([g.ravel() for g in ev.weight_grads + ev.bias_grads])
     assert np.abs(analytic - numeric).max() < 1e-6
 
     def f_pred(flat):
-        return robustness_objective(adv, x_tr, z_tr, flat, x_va, z_va, y_va).value
+        return robustness_objective(adv, rows, flat).value
 
     numeric_pred = numeric_gradient(f_pred, yhat)
     assert np.abs(ev.prediction_grad - numeric_pred).max() < 1e-6

@@ -153,6 +153,15 @@ def test_csv_non_finite_cell_names_row_and_column(tmp_path, body, column):
         load_csv(path)
 
 
+@pytest.mark.parametrize("features,weights,where", [
+    ([[0.1, 0.2], [np.inf, 0.3]], None, r"features\[1, 0\].*inf"),
+    ([[0.1, 0.2], [0.4, 0.3]], [1.0, np.nan], r"weights\[1\].*nan"),
+])
+def test_constructor_non_finite_value_names_its_index(features, weights, where):
+    with pytest.raises(DataError, match=where):
+        Dataset(features, [0, 1], [1, 0], weights=weights)
+
+
 def test_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,y\n0.1,1\n")

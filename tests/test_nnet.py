@@ -10,6 +10,7 @@ from fairrobust.nnet import (
     MLPModel,
     MLPSpec,
     TrainingDivergedError,
+    _sigmoid,
     adam_step,
     backward,
     flatten_grads,
@@ -192,6 +193,43 @@ def test_input_gradient_matches_finite_differences():
     grads = backward(model, cache, np.ones_like(cache.output))
     numeric = numeric_gradient(f, x0.ravel())
     assert np.allclose(grads.inputs.ravel(), numeric, atol=1e-6)
+
+
+def _masked_sigmoid(x):
+    """The boolean-mask form: each branch evaluated on its own rows only."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit():
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.nan, 36.0, -36.0, 1e-300, -1e-300])
+    rng = np.random.default_rng(11)
+    for x in (special, rng.normal(scale=6.0, size=(3200, 1)), rng.normal(size=(40, 3))):
+        got, want = _sigmoid(x), _masked_sigmoid(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("spec", [
+    MLPSpec(input_dim=3, hidden_dim=0, output_dim=1),
+    MLPSpec(input_dim=3, hidden_dim=8, output_dim=1),
+    MLPSpec(input_dim=3, hidden_dim=5, output_dim=1, hidden_activation="tanh"),
+    MLPSpec(input_dim=1, hidden_dim=0, output_dim=3, output_activation="softmax"),
+])
+def test_backward_without_input_grad_keeps_parameter_grads(spec):
+    rng = np.random.default_rng(12)
+    model = init_model(spec, seed=13)
+    cache = forward_with_cache(model, rng.normal(size=(64, spec.input_dim)))
+    d_out = rng.normal(size=cache.output.shape)
+    full = backward(model, cache, d_out)
+    lean = backward(model, cache, d_out, input_grad=False)
+    assert lean.inputs is None and full.inputs.shape == (64, spec.input_dim)
+    for got, want in zip(lean.weights + lean.biases, full.weights + full.biases):
+        assert np.array_equal(got, want)
 
 
 def test_model_json_round_trip(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrobust import benchmarks
-from fairrobust.dataset import Dataset, SyntheticSpec, generate_synthetic, split
+from fairrobust import adversaries, benchmarks, trainer
+from fairrobust.dataset import DataError, Dataset, SyntheticSpec, generate_synthetic, split
 from fairrobust.metrics import disparate_impact
 from fairrobust.nnet import get_flat_params
 from fairrobust.trainer import (
@@ -135,13 +135,56 @@ def test_lambda2_requires_validation(datasets):
         train_fair_robust(train, None, small_config(lambda2=0.2))
 
 
-def test_nan_feature_row_raises_training_diverged(datasets):
-    train, val, _ = datasets
+def test_nan_feature_row_is_data_error_at_construction(datasets):
+    train, _, _ = datasets
     features = train.features.copy()
     features[3, 0] = np.nan
-    bad = Dataset(features, train.sensitive, train.labels, z_cardinality=train.z_cardinality)
-    with pytest.raises(TrainingDivergedError):
-        train_fair_robust(bad, val, small_config(lambda1=0.3, lambda2=0.2, epochs=5))
+    with pytest.raises(DataError, match=r"features\[3, 0\]"):
+        Dataset(features, train.sensitive, train.labels, z_cardinality=train.z_cardinality)
+
+
+def test_runaway_adversary_step_raises_training_diverged(datasets):
+    # Finite data and a valid config: an SGD step of 1e300 on the robustness
+    # adversary overflows its next forward pass, and training stops with the
+    # one divergence error.
+    train, val, _ = datasets
+    cfg = small_config(lambda1=0.3, lambda2=0.2, epochs=5, disc_lr=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError):
+            train_fair_robust(train, val, cfg)
+
+
+def test_robustness_adversary_runs_backward_only_in_ascent_steps(datasets, monkeypatch):
+    train, val, _ = datasets
+    cfg = replace(benchmarks.poisoned_config(0), epochs=3, pretrain_epochs=2)
+    backward_calls = []  # (adversary output activation, input gradient asked for)
+    real_backward = adversaries.backward
+
+    def counting_backward(model, cache, d_output, input_grad=True):
+        backward_calls.append((model.spec.output_activation, input_grad))
+        return real_backward(model, cache, d_output, input_grad)
+
+    objective_calls = []  # param_grads of each robustness_objective call
+    real_objective = trainer.robustness_objective
+
+    def recording_objective(*args, **kwargs):
+        objective_calls.append(kwargs.get("param_grads", True))
+        return real_objective(*args, **kwargs)
+
+    monkeypatch.setattr(adversaries, "backward", counting_backward)
+    monkeypatch.setattr(trainer, "robustness_objective", recording_objective)
+    train_fair_robust(train, val, cfg)
+
+    per_epoch = [True] * cfg.update_ratio + [False]
+    assert objective_calls == per_epoch * cfg.epochs
+    robust = [grad for act, grad in backward_calls if act == "sigmoid"]
+    # One validation and one training pass per ascent call, none for the
+    # evaluation call, and no input gradient.
+    assert robust == [False] * (2 * cfg.update_ratio * cfg.epochs)
+    fair = [grad for act, grad in backward_calls if act == "softmax"]
+    # The fairness ascents skip the input gradient; each epoch's evaluation
+    # (one DI head) needs it for the prediction gradient.
+    assert fair.count(True) == cfg.epochs and fair.count(False) > 0
 
 
 def test_validation_group_beyond_training_cardinality_is_config_error(datasets):
