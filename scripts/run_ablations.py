@@ -10,10 +10,8 @@ import argparse
 import logging
 from dataclasses import replace
 
-import numpy as np
-
 from fairrobust import benchmarks as B
-from fairrobust.trainer import evaluate_model, train_fair_robust
+from fairrobust.harness import ExperimentSpec, run_checked
 
 
 def main():
@@ -24,25 +22,19 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
+    full = B.poisoned_config(0)
     variants = {
-        "full": lambda s: B.poisoned_config(s),
-        "no robustness (lambda2=0)": lambda s: replace(
-            B.poisoned_config(s), lambda2=0.0),
-        "no fairness (lambda1=0)": lambda s: replace(
-            B.poisoned_config(s), lambda1=0.0),
-        "no re-weighting": lambda s: replace(
-            B.poisoned_config(s), reweight=False),
+        "full": full,
+        "no robustness (lambda2=0)": replace(full, lambda2=0.0),
+        "no fairness (lambda1=0)": replace(full, lambda1=0.0),
+        "no re-weighting": replace(full, reweight=False),
     }
     print(f"{'variant':<28} {'DI':>8} {'accuracy':>10}")
-    for name, cfg_fn in variants.items():
-        accs, dis = [], []
-        for seed in seeds:
-            train, val, test = B.benchmark_datasets(seed, poison_fraction=args.poison)
-            model, _ = train_fair_robust(train, val, cfg_fn(seed))
-            report = evaluate_model(model, test)
-            accs.append(report.accuracy)
-            dis.append(report.disparate_impact)
-        print(f"{name:<28} {np.mean(dis):>8.3f} {np.mean(accs):>10.3f}")
+    for name, base in variants.items():
+        spec = ExperimentSpec(seeds=seeds, base=base, synthetic=B.STANDARD_SPEC,
+                              poison_fraction=args.poison)
+        _, (agg,) = run_checked(spec)
+        print(f"{name:<28} {agg['di_mean']:>8.3f} {agg['acc_mean']:>10.3f}")
 
 
 if __name__ == "__main__":

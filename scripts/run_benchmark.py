@@ -9,19 +9,7 @@ import argparse
 import logging
 
 from fairrobust import benchmarks as B
-from fairrobust.harness import error_range
-from fairrobust.trainer import evaluate_model, train_fair_robust, train_logistic_baseline
-
-
-def collect(seeds, poison_fraction, trainer):
-    accs, dis = [], []
-    for seed in seeds:
-        train, val, test = B.benchmark_datasets(seed, poison_fraction=poison_fraction)
-        model = trainer(train, val, seed)
-        report = evaluate_model(model, test)
-        accs.append(report.accuracy)
-        dis.append(report.disparate_impact)
-    return accs, dis
+from fairrobust.harness import ExperimentSpec, error_range, run_checked
 
 
 def main():
@@ -31,20 +19,20 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
-    rows = [
-        ("LR clean", 0.0,
-         lambda tr, va, s: train_logistic_baseline(tr, B.baseline_config(s))),
-        ("LR poisoned 10%", 0.1,
-         lambda tr, va, s: train_logistic_baseline(tr, B.baseline_config(s))),
-        ("fair-robust clean", 0.0,
-         lambda tr, va, s: train_fair_robust(tr, va, B.clean_config(s))[0]),
-        ("fair-robust poisoned 10%", 0.1,
-         lambda tr, va, s: train_fair_robust(tr, va, B.poisoned_config(s))[0]),
+    settings = [
+        ("LR clean", 0.0, B.baseline_config(0)),
+        ("LR poisoned 10%", 0.1, B.baseline_config(0)),
+        ("fair-robust clean", 0.0, B.clean_config(0)),
+        ("fair-robust poisoned 10%", 0.1, B.poisoned_config(0)),
     ]
     print(f"{'setting':<28} {'DI':>16} {'accuracy':>16}")
-    for name, poison, trainer in rows:
-        accs, dis = collect(seeds, poison, trainer)
-        print(f"{name:<28} {error_range(dis).formatted:>16} {error_range(accs).formatted:>16}")
+    for name, poison, base in settings:
+        spec = ExperimentSpec(seeds=seeds, base=base, synthetic=B.STANDARD_SPEC,
+                              poison_fraction=poison)
+        runs, _ = run_checked(spec)
+        di = error_range(r["di"] for r in runs).formatted
+        acc = error_range(r["acc"] for r in runs).formatted
+        print(f"{name:<28} {di:>16} {acc:>16}")
 
 
 if __name__ == "__main__":

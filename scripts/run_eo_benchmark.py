@@ -3,12 +3,9 @@
 
 import argparse
 import logging
-from dataclasses import replace
-
-import numpy as np
 
 from fairrobust import benchmarks as B
-from fairrobust.trainer import evaluate_model, train_fair_robust, train_logistic_baseline
+from fairrobust.harness import ExperimentSpec, run_checked
 
 
 def main():
@@ -18,22 +15,13 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
-    rows = {
-        "LR": lambda tr, va, s: train_logistic_baseline(tr, B.baseline_config(s)),
-        "fair-robust (EO)": lambda tr, va, s: train_fair_robust(
-            tr, va, replace(B.eo_config(s)))[0],
-    }
+    methods = {"LR": B.baseline_config(0), "fair-robust (EO)": B.eo_config(0)}
     print(f"{'method':<18} {'EO y=0':>8} {'EO y=1':>8} {'accuracy':>10}")
-    for name, trainer in rows.items():
-        eo0, eo1, accs = [], [], []
-        for seed in seeds:
-            train, val, test = B.benchmark_datasets(seed)
-            report = evaluate_model(trainer(train, val, seed), test)
-            eo0.append(report.equalized_odds.get(0, float("nan")))
-            eo1.append(report.equalized_odds.get(1, float("nan")))
-            accs.append(report.accuracy)
-        print(f"{name:<18} {np.nanmean(eo0):>8.3f} {np.nanmean(eo1):>8.3f} "
-              f"{np.mean(accs):>10.3f}")
+    for name, base in methods.items():
+        spec = ExperimentSpec(seeds=seeds, base=base, synthetic=B.STANDARD_SPEC)
+        _, (agg,) = run_checked(spec)
+        print(f"{name:<18} {agg['eo0_mean']:>8.3f} {agg['eo1_mean']:>8.3f} "
+              f"{agg['acc_mean']:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,8 @@
 import argparse
 import logging
 
-import numpy as np
-
 from fairrobust import benchmarks as B
-from fairrobust.trainer import evaluate_model, train_fair_robust
+from fairrobust.harness import ExperimentSpec, run_checked
 
 
 def main():
@@ -19,16 +17,12 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
+    spec = ExperimentSpec(seeds=seeds, base=B.poisoned_config(0), synthetic=B.STANDARD_SPEC,
+                          sweep_axis="poison_fraction", grid=args.grid)
+    _, aggregates = run_checked(spec)
     print(f"{'poison':>7} {'DI':>8} {'accuracy':>10}")
-    for fraction in args.grid:
-        accs, dis = [], []
-        for seed in seeds:
-            train, val, test = B.benchmark_datasets(seed, poison_fraction=fraction)
-            model, _ = train_fair_robust(train, val, B.poisoned_config(seed))
-            report = evaluate_model(model, test)
-            accs.append(report.accuracy)
-            dis.append(report.disparate_impact)
-        print(f"{fraction:>6.0%} {np.mean(dis):>8.3f} {np.mean(accs):>10.3f}")
+    for agg in aggregates:
+        print(f"{agg['grid_value']:>6.0%} {agg['di_mean']:>8.3f} {agg['acc_mean']:>10.3f}")
 
 
 if __name__ == "__main__":

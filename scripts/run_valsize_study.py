@@ -11,10 +11,8 @@ import argparse
 import logging
 from dataclasses import replace
 
-import numpy as np
-
 from fairrobust import benchmarks as B
-from fairrobust.trainer import evaluate_model, train_fair_robust
+from fairrobust.harness import ExperimentSpec, run_checked
 
 
 def main():
@@ -27,20 +25,19 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
+    by_lambda2 = {}
+    for lam2 in args.lambda2:
+        spec = ExperimentSpec(seeds=seeds, base=replace(B.poisoned_config(0), lambda2=lam2),
+                              synthetic=B.STANDARD_SPEC, poison_fraction=0.1,
+                              sweep_axis="val_fraction", grid=args.val_fractions)
+        by_lambda2[lam2] = run_checked(spec)[1]
+
     print(f"{'val size':>9} {'lambda2':>8} {'DI':>8} {'accuracy':>10}")
-    for val_fraction in args.val_fractions:
+    for i, val_fraction in enumerate(args.val_fractions):
         for lam2 in args.lambda2:
-            accs, dis = [], []
-            for seed in seeds:
-                train, val, test = B.benchmark_datasets(
-                    seed, poison_fraction=0.1, val_fraction=val_fraction)
-                cfg = replace(B.poisoned_config(seed), lambda2=lam2)
-                model, _ = train_fair_robust(train, val, cfg)
-                report = evaluate_model(model, test)
-                accs.append(report.accuracy)
-                dis.append(report.disparate_impact)
-            print(f"{val_fraction:>8.1%} {lam2:>8.1f} {np.mean(dis):>8.3f} "
-                  f"{np.mean(accs):>10.3f}")
+            agg = by_lambda2[lam2][i]
+            print(f"{val_fraction:>8.1%} {lam2:>8.1f} {agg['di_mean']:>8.3f} "
+                  f"{agg['acc_mean']:>10.3f}")
 
 
 if __name__ == "__main__":

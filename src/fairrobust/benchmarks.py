@@ -42,11 +42,30 @@ def benchmark_datasets(
     """
     test_fraction = SPLIT_FRACTIONS[2]
     fractions = (1.0 - val_fraction - test_fraction, val_fraction, test_fraction)
-    ds = generate_synthetic(STANDARD_SPEC, derive_seed(seed, 0))
-    train, val, test = split(ds, fractions, derive_seed(seed, 1))
+    return make_datasets(seed, fractions, poison_fraction, POISON_GROUP, poison_strategy)
+
+
+def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: int,
+                  poison_strategy: str, synthetic: SyntheticSpec = STANDARD_SPEC,
+                  loaded=None) -> tuple[Dataset, Dataset, Dataset]:
+    """The one data pipeline: generate, split, poison the training part.
+
+    Seed streams 0, 1 and 2 of ``seed`` drive generation, the split and the
+    poisoning. ``loaded`` is (train, val or None, test) read from files; it
+    replaces generation, and without a validation part the split carves
+    ``fractions[1]`` of the training rows off as validation.
+    """
+    if loaded is None:
+        ds = generate_synthetic(synthetic, derive_seed(seed, 0))
+        train, val, test = split(ds, fractions, derive_seed(seed, 1))
+    else:
+        train, val, test = loaded
+        if val is None:
+            f_val = fractions[1]
+            train, val, _ = split(train, (1.0 - f_val, f_val, 0.0), derive_seed(seed, 1))
     if poison_fraction > 0:
         spec = PoisonSpec(
-            target_group=POISON_GROUP,
+            target_group=poison_group,
             fraction=poison_fraction,
             strategy=poison_strategy,
             seed=derive_seed(seed, 2),

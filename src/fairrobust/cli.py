@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .adversaries import DiscreteJoint, cmi_exact, cmi_via_discriminator, mi_exact, mi_via_discriminator
+from .adversaries import DiscreteJoint, oracle_deviations
 from .dataset import (
     SyntheticSpec,
     aggregate_crowd_labels,
@@ -143,24 +143,15 @@ def _cmd_aggregate_crowd(args) -> int:
 
 def _cmd_verify_mi(args) -> int:
     rng = np.random.default_rng(args.seed)
-    worst_closed = worst_numeric = 0.0
-    for _ in range(args.trials):
-        shape = (rng.integers(2, 5), rng.integers(2, 5))
+
+    def joint(shape):
         pmf = rng.random(shape) ** 2
-        pmf /= pmf.sum()
-        bound = mi_via_discriminator(DiscreteJoint(pmf))
-        exact = mi_exact(DiscreteJoint(pmf))
-        worst_closed = max(worst_closed, abs(bound.value - exact))
-        worst_numeric = max(worst_numeric, abs(bound.numeric_value - exact))
-    cond_closed = cond_numeric = 0.0
-    for _ in range(args.trials):
-        shape = (int(rng.integers(2, 4)), 2, 2)
-        pmf = rng.random(shape) ** 2
-        pmf /= pmf.sum()
-        bound = cmi_via_discriminator(DiscreteJoint(pmf))
-        exact = cmi_exact(DiscreteJoint(pmf))
-        cond_closed = max(cond_closed, abs(bound.value - exact))
-        cond_numeric = max(cond_numeric, abs(bound.numeric_value - exact))
+        return DiscreteJoint(pmf / pmf.sum())
+
+    worst_closed, worst_numeric = oracle_deviations(
+        joint((rng.integers(2, 5), rng.integers(2, 5))) for _ in range(args.trials))
+    cond_closed, cond_numeric = oracle_deviations(
+        joint((int(rng.integers(2, 4)), 2, 2)) for _ in range(args.trials))
     ok = True
     for name, worst, tol in [
         ("mi closed-form", worst_closed, 1e-6),

@@ -11,15 +11,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 
 import numpy as np
 
-from .benchmarks import derive_seed
-from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_csv, split
-from .poison import PoisonSpec, flip_labels
+from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
+from .dataset import SyntheticSpec, load_csv
 from .trainer import TrainConfig, evaluate_model, train_fair_robust
 
 RUN_FIELDS = ["lambda1", "lambda2", "seed", "acc", "di", "eo0", "eo1", "eopp", "runtime_s"]
@@ -40,9 +40,9 @@ class ExperimentSpec:
     train_csv: str | None = None
     val_csv: str | None = None
     test_csv: str | None = None
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     poison_fraction: float = 0.0
-    poison_group: int = 1
+    poison_group: int = POISON_GROUP
     poison_strategy: str = "degradation-surrogate"
 
     def __post_init__(self):
@@ -58,6 +58,10 @@ class ExperimentSpec:
             raise ValueError("exactly one of synthetic spec or train_csv is required")
         if has_csv and self.test_csv is None:
             raise ValueError("test_csv is required with train_csv")
+        if has_synth and (self.val_csv is not None or self.test_csv is not None):
+            raise ValueError("a synthetic spec generates every split; drop val_csv and test_csv")
+        if self.val_csv is not None and self.sweep_axis == "val_fraction":
+            raise ValueError("a val_fraction sweep splits validation off train_csv; drop val_csv")
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -102,19 +106,6 @@ def _resolve_run(spec: ExperimentSpec, grid_value: float, seed: int):
     return fractions, poison_fraction, cfg
 
 
-def _load_datasets(spec: ExperimentSpec, fractions, seed: int):
-    if spec.synthetic is not None:
-        ds = generate_synthetic(spec.synthetic, derive_seed(seed, 0))
-        return split(ds, fractions, derive_seed(seed, 1))
-    train = load_csv(spec.train_csv)
-    test = load_csv(spec.test_csv)
-    if spec.val_csv is not None:
-        return train, load_csv(spec.val_csv), test
-    f_val = fractions[1]
-    train, val, _ = split(train, (1.0 - f_val, f_val, 0.0), derive_seed(seed, 1))
-    return train, val, test
-
-
 def run_single(spec: ExperimentSpec, grid_value: float, seed: int) -> dict:
     """One pipeline run; failures are recorded in the row, not raised."""
     fractions, poison_fraction, cfg = _resolve_run(spec, grid_value, seed)
@@ -125,33 +116,16 @@ def run_single(spec: ExperimentSpec, grid_value: float, seed: int) -> dict:
         "grid_value": grid_value,
         "seed": seed,
     }
-    row = {
-        "lambda1": cfg.lambda1,
-        "lambda2": cfg.lambda2,
-        "seed": seed,
-        "acc": "",
-        "di": "",
-        "eo0": "",
-        "eo1": "",
-        "eopp": "",
-        "runtime_s": "",
-        "sweep_axis": spec.sweep_axis,
-        "grid_value": grid_value,
-        "config_hash": config_hash(resolved),
-        "status": "ok",
-        "error": "",
-    }
+    row = dict.fromkeys(RUN_FIELDS + EXTRA_FIELDS, "")
+    row.update(lambda1=cfg.lambda1, lambda2=cfg.lambda2, seed=seed, sweep_axis=spec.sweep_axis,
+               grid_value=grid_value, config_hash=config_hash(resolved), status="ok")
     start = time.perf_counter()
     try:
-        train, val, test = _load_datasets(spec, fractions, seed)
-        if poison_fraction > 0:
-            pspec = PoisonSpec(
-                target_group=spec.poison_group,
-                fraction=poison_fraction,
-                strategy=spec.poison_strategy,
-                seed=derive_seed(seed, 2),
-            )
-            train, _ = flip_labels(train, pspec)
+        loaded = None if spec.synthetic is not None else tuple(
+            None if path is None else load_csv(path)
+            for path in (spec.train_csv, spec.val_csv, spec.test_csv))
+        train, val, test = make_datasets(seed, fractions, poison_fraction, spec.poison_group,
+                                         spec.poison_strategy, spec.synthetic, loaded)
         model, _ = train_fair_robust(train, val, cfg)
         report = evaluate_model(model, test)
         row.update(
@@ -196,15 +170,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1
                "n_ok": len(ok), "n_failed": len(spec.seeds) - len(ok)}
         for key in ("acc", "di", "eo0", "eo1", "eopp"):
             values = [float(r[key]) for r in ok if r[key] != ""]
-            agg[f"{key}_mean"] = float(np.mean(values)) if values else ""
-            agg[f"{key}_std"] = (
-                float(np.std(values, ddof=1)) if len(values) > 1 else ""
-            )
+            spread = error_range(values) if len(values) > 1 else None
+            agg[f"{key}_mean"] = spread.mean if spread else (values[0] if values else "")
+            agg[f"{key}_std"] = spread.std if spread else ""
         aggregates.append(agg)
 
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "runs.csv"), RUN_FIELDS + EXTRA_FIELDS, rows)
         if aggregates:
@@ -212,6 +183,17 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1
                        list(aggregates[0].keys()), aggregates)
         if spec.sweep_axis == "lambda1":
             emit_tradeoff_curve(rows, path=os.path.join(out_dir, "tradeoff.csv"))
+    return rows, aggregates
+
+
+def run_checked(spec: ExperimentSpec) -> tuple[list[dict], list[dict]]:
+    """``run_experiment`` on every usable core; the first failed run raises
+    ``RuntimeError`` naming its seed, grid value and error."""
+    rows, aggregates = run_experiment(spec, jobs=len(os.sched_getaffinity(0)))
+    for r in rows:
+        if r["status"] != "ok":
+            raise RuntimeError(f"run failed at seed {r['seed']}, grid value "
+                               f"{r['grid_value']}: {r['error']}")
     return rows, aggregates
 
 

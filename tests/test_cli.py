@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from fairrobust.cli import main
 from fairrobust.dataset import SyntheticSpec, load_csv
 from fairrobust.harness import ExperimentSpec
 from fairrobust.trainer import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_gen_synth_and_poison_round(tmp_path, capsys):
@@ -87,3 +93,12 @@ def test_verify_mi_command(capsys):
     assert main(["verify-mi", "--trials", "20", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("run_*.py")),
+                         ids=lambda path: path.name)
+def test_script_help_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(script), "--help"], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,18 +1,26 @@
 import csv
 import json
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fairrobust import benchmarks as B
 from fairrobust.dataset import SyntheticSpec
 from fairrobust.harness import (
     ExperimentSpec,
     emit_tradeoff_curve,
     error_range,
     run_experiment,
+    run_single,
 )
-from fairrobust.trainer import TrainConfig
+from fairrobust.trainer import (
+    TrainConfig,
+    evaluate_model,
+    train_fair_robust,
+    train_logistic_baseline,
+)
 
 
 def tiny_spec(**kwargs):
@@ -125,3 +133,33 @@ def test_spec_json_round_trip():
 def test_spec_requires_one_data_source():
     with pytest.raises(ValueError):
         ExperimentSpec(seeds=[0], synthetic=None, train_csv=None)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(synthetic=SyntheticSpec(n=200), val_csv="val.csv"),
+    dict(synthetic=SyntheticSpec(n=200), test_csv="test.csv"),
+    dict(train_csv="train.csv", val_csv="val.csv", test_csv="test.csv",
+         sweep_axis="val_fraction", grid=[0.05, 0.3]),
+], ids=["synthetic_with_val_csv", "synthetic_with_test_csv", "val_fraction_with_val_csv"])
+def test_spec_rejects_fields_its_data_source_ignores(fields):
+    with pytest.raises(ValueError):
+        ExperimentSpec(seeds=[0], **fields)
+
+
+@pytest.mark.parametrize("config_fn, poison_fraction, val_fraction", [
+    (B.baseline_config, 0.0, 0.1), (B.poisoned_config, 0.1, 0.1), (B.poisoned_config, 0.1, 0.001),
+], ids=["lr_baseline", "poisoned_10pct", "val_fraction_0.001"])
+def test_run_single_equals_benchmark_pipeline(config_fn, poison_fraction, val_fraction):
+    # The scripts and the acceptance gate rely on this equivalence.
+    sweep = {} if val_fraction == 0.1 else {"sweep_axis": "val_fraction", "grid": [val_fraction]}
+    spec = ExperimentSpec(seeds=[4], base=replace(config_fn(0), epochs=40),
+                          synthetic=B.STANDARD_SPEC, poison_fraction=poison_fraction, **sweep)
+    row = run_single(spec, spec.grid[0], 4)
+    train, val, test = B.benchmark_datasets(4, poison_fraction, val_fraction)
+    cfg = replace(config_fn(4), epochs=40)
+    model = (train_logistic_baseline(train, cfg) if config_fn is B.baseline_config
+             else train_fair_robust(train, val, cfg)[0])
+    report = evaluate_model(model, test)
+    assert (row["status"], row["acc"], row["di"], row["eo0"], row["eo1"]) == (
+        "ok", report.accuracy, report.disparate_impact,
+        report.equalized_odds[0], report.equalized_odds[1])
