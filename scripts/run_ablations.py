@@ -16,7 +16,7 @@ from fairrobust.harness import ExperimentSpec, run_checked
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--seeds", type=B.seed_count, default=5)
     parser.add_argument("--poison", type=float, default=0.1)
     args = parser.parse_args()
     logging.basicConfig(level=logging.ERROR)

@@ -14,7 +14,7 @@ from fairrobust.harness import ExperimentSpec, error_range, run_checked
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=10)
+    parser.add_argument("--seeds", type=B.seed_count, default=10)
     args = parser.parse_args()
     logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]

@@ -17,7 +17,7 @@ from fairrobust.harness import ExperimentSpec, run_checked
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--seeds", type=B.seed_count, default=5)
     parser.add_argument("--val-fractions", type=float, nargs="+",
                         default=[0.10, 0.05, 0.001])
     parser.add_argument("--lambda2", type=float, nargs="+", default=[0.4, 0.1])

@@ -8,6 +8,7 @@ the tuned training configurations for the clean and poisoned settings.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,15 @@ POISON_GROUP = 1
 
 # Seed families used by scripts and the acceptance suite.
 BENCHMARK_SEEDS = tuple(range(10))
+
+
+def seed_count(text: str) -> int:
+    """Argument type of the scripts' ``--seeds n``: the first n of ``BENCHMARK_SEEDS``."""
+    n = int(text)
+    if not 1 <= n <= len(BENCHMARK_SEEDS):
+        raise argparse.ArgumentTypeError(
+            f"{n} is not between 1 and {len(BENCHMARK_SEEDS)}, the number of benchmark seeds")
+    return n
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -47,13 +57,14 @@ def benchmark_datasets(
 
 def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: int,
                   poison_strategy: str, synthetic: SyntheticSpec = STANDARD_SPEC,
-                  loaded=None) -> tuple[Dataset, Dataset, Dataset]:
+                  loaded=None, reference_model=None) -> tuple[Dataset, Dataset, Dataset]:
     """The one data pipeline: generate, split, poison the training part.
 
     Seed streams 0, 1 and 2 of ``seed`` drive generation, the split and the
     poisoning. ``loaded`` is (train, val or None, test) read from files; it
     replaces generation, and without a validation part the split carves
     ``fractions[1]`` of the training rows off as validation.
+    ``reference_model`` goes to ``flip_labels``.
     """
     if loaded is None:
         ds = generate_synthetic(synthetic, derive_seed(seed, 0))
@@ -70,7 +81,7 @@ def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: in
             strategy=poison_strategy,
             seed=derive_seed(seed, 2),
         )
-        train, _ = flip_labels(train, spec)
+        train, _ = flip_labels(train, spec, reference_model)
     return train, val, test
 
 

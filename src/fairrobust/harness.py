@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
 from .dataset import SyntheticSpec, load_csv
+from .poison import train_surrogate
 from .trainer import TrainConfig, evaluate_model, train_fair_robust
 
 RUN_FIELDS = ["lambda1", "lambda2", "seed", "acc", "di", "eo0", "eo1", "eopp", "runtime_s"]
@@ -106,8 +108,39 @@ def _resolve_run(spec: ExperimentSpec, grid_value: float, seed: int):
     return fractions, poison_fraction, cfg
 
 
-def run_single(spec: ExperimentSpec, grid_value: float, seed: int) -> dict:
-    """One pipeline run; failures are recorded in the row, not raised."""
+def _surrogate_key(spec: ExperimentSpec, grid_value: float, seed: int):
+    """What a run's degradation-surrogate model depends on, or None when the
+    run trains none: runs with equal keys share one model."""
+    fractions, poison_fraction, _ = _resolve_run(spec, grid_value, seed)
+    if poison_fraction > 0 and spec.poison_strategy == "degradation-surrogate":
+        return seed, fractions
+    return None
+
+
+def _loaded(spec: ExperimentSpec):
+    return None if spec.synthetic is not None else tuple(
+        None if path is None else load_csv(path)
+        for path in (spec.train_csv, spec.val_csv, spec.test_csv))
+
+
+def _surrogate(spec: ExperimentSpec, seed: int, fractions):
+    """The surrogate model of one key, trained on the clean training part that
+    ``make_datasets`` poisons, or the exception that raised on the way;
+    ``flip_labels`` raises it where it would have trained the model."""
+    try:
+        train, _, _ = make_datasets(seed, fractions, 0.0, spec.poison_group,
+                                    spec.poison_strategy, spec.synthetic, _loaded(spec))
+        return train_surrogate(train, derive_seed(seed, 2))
+    except Exception as exc:
+        return exc
+
+
+def run_single(spec: ExperimentSpec, grid_value: float, seed: int, surrogate=None) -> dict:
+    """One pipeline run; failures are recorded in the row, not raised.
+
+    ``surrogate`` is the run's poisoning reference model, or the exception
+    that training it raised; without it the run trains its own.
+    """
     fractions, poison_fraction, cfg = _resolve_run(spec, grid_value, seed)
     resolved = {
         "config": cfg.to_json_dict(),
@@ -121,11 +154,9 @@ def run_single(spec: ExperimentSpec, grid_value: float, seed: int) -> dict:
                grid_value=grid_value, config_hash=config_hash(resolved), status="ok")
     start = time.perf_counter()
     try:
-        loaded = None if spec.synthetic is not None else tuple(
-            None if path is None else load_csv(path)
-            for path in (spec.train_csv, spec.val_csv, spec.test_csv))
         train, val, test = make_datasets(seed, fractions, poison_fraction, spec.poison_group,
-                                         spec.poison_strategy, spec.synthetic, loaded)
+                                         spec.poison_strategy, spec.synthetic, _loaded(spec),
+                                         surrogate)
         model, _ = train_fair_robust(train, val, cfg)
         report = evaluate_model(model, test)
         row.update(
@@ -142,25 +173,38 @@ def run_single(spec: ExperimentSpec, grid_value: float, seed: int) -> dict:
     return row
 
 
+def _surrogate_task(args):
+    spec_payload, seed, fractions = args
+    return _surrogate(ExperimentSpec.from_json_dict(spec_payload), seed, fractions)
+
+
 def _run_task(args):
-    spec_payload, grid_value, seed = args
-    return run_single(ExperimentSpec.from_json_dict(spec_payload), grid_value, seed)
+    spec_payload, grid_value, seed, surrogate = args
+    return run_single(ExperimentSpec.from_json_dict(spec_payload), grid_value, seed, surrogate)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1
                    ) -> tuple[list[dict], list[dict]]:
     """All grid points x seeds; returns (run rows, aggregate rows) sorted.
 
-    When ``out_dir`` is given, writes runs.csv, aggregates.csv, and (for a
-    lambda1 sweep) tradeoff.csv there.
+    A poisoning surrogate model that two or more runs share is trained once,
+    before the runs; a run that shares its surrogate with no other trains it
+    itself. When ``out_dir`` is given, writes runs.csv, aggregates.csv, and
+    (for a lambda1 sweep) tradeoff.csv there.
     """
     tasks = [(grid_value, seed) for grid_value in spec.grid for seed in spec.seeds]
+    keys = [_surrogate_key(spec, g, s) for g, s in tasks]
+    shared = [k for k, n in Counter(keys).items() if k is not None and n > 1]
     if jobs > 1:
         payload = spec.to_json_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_task, [(payload, g, s) for g, s in tasks]))
+            models = dict(zip(shared, pool.map(_surrogate_task,
+                                               [(payload, *k) for k in shared])))
+            rows = list(pool.map(_run_task, [(payload, g, s, models.get(k))
+                                             for (g, s), k in zip(tasks, keys)]))
     else:
-        rows = [run_single(spec, g, s) for g, s in tasks]
+        models = {k: _surrogate(spec, *k) for k in shared}
+        rows = [run_single(spec, g, s, models.get(k)) for (g, s), k in zip(tasks, keys)]
     rows.sort(key=lambda r: (r["grid_value"], r["seed"]))
 
     aggregates = []

@@ -16,20 +16,28 @@ def _as_int_array(x) -> np.ndarray:
 
 
 def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
-    """P(prediction = 1 | z = code) for each group code."""
+    """P(prediction = 1 | z = code) for each group code.
+
+    The codes are ``range(z_cardinality)`` when it is given, else those that
+    occur; group codes must be nonnegative. Each rate is a group's count of
+    positives over its size, which for 0/1 predictions is the group's mean.
+    """
     predictions = _as_int_array(predictions)
     z = _as_int_array(z)
     if len(predictions) != len(z):
         raise ValueError("predictions and z must have equal length")
     if len(z) == 0:
         raise UndefinedGroupError("empty input")
-    codes = range(z_cardinality) if z_cardinality else np.unique(z)
+    if z.min() < 0:
+        raise ValueError("group codes must be nonnegative")
+    counts = np.bincount(z, minlength=z_cardinality or 0)
+    positives = np.bincount(z, weights=predictions, minlength=z_cardinality or 0)
+    codes = range(z_cardinality) if z_cardinality else np.flatnonzero(counts)
     rates = {}
     for code in codes:
-        mask = z == code
-        if not mask.any():
+        if counts[code] == 0:
             raise UndefinedGroupError(f"group {int(code)} absent")
-        rates[int(code)] = float(predictions[mask].mean())
+        rates[int(code)] = float(positives[code] / counts[code])
     return rates
 
 
@@ -123,21 +131,6 @@ def empirical_entropy(codes) -> float:
     _, counts = np.unique(codes, return_counts=True)
     p = counts / counts.sum()
     return float(-(p * np.log(p)).sum())
-
-
-def empirical_conditional_entropy(codes, conditioning) -> float:
-    """H(codes | conditioning) of the empirical joint, in nats."""
-    codes = _as_int_array(codes)
-    conditioning = _as_int_array(conditioning)
-    if len(codes) != len(conditioning):
-        raise ValueError("inputs must have equal length")
-    if len(codes) == 0:
-        raise ValueError("empty input")
-    total = 0.0
-    for c in np.unique(conditioning):
-        mask = conditioning == c
-        total += mask.mean() * empirical_entropy(codes[mask])
-    return float(total)
 
 
 @dataclass

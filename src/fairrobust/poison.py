@@ -35,12 +35,27 @@ class PoisonSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
+def train_surrogate(d: Dataset, seed: int):
+    """The clean reference model that ``degradation-surrogate`` ranks rows with.
+
+    ``flip_labels`` trains it on the dataset it poisons, with the spec's seed,
+    unless it is handed one; a caller that poisons one dataset at several
+    fractions can train it once and pass it to every call.
+    """
+    from .trainer import TrainConfig, train_logistic_baseline
+
+    cfg = TrainConfig(epochs=800, pretrain_epochs=0, generator_lr=0.05, reweight=False, seed=seed)
+    return train_logistic_baseline(d, cfg)
+
+
 def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dataset, list[int]]:
     """Flip ceil(fraction * len(d)) labels inside the target group.
 
     Returns the poisoned dataset (flips recorded in ``poisoned_indices``) and
     the flipped row indices. Deterministic given the spec's seed; rows that are
-    not flipped are bit-identical to the input.
+    not flipped are bit-identical to the input. ``degradation-surrogate``
+    ranks rows with ``reference_model``, trains it when it is None, and raises
+    it when it is the exception that training it elsewhere raised.
     """
     n = len(d)
     n_flips = int(math.ceil(spec.fraction * n))
@@ -59,12 +74,12 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
         rng = np.random.default_rng(spec.seed)
         chosen = rng.choice(group_idx, size=n_flips, replace=False)
     else:
-        from .trainer import TrainConfig, model_inputs, predict, train_logistic_baseline
+        from .trainer import model_inputs, predict
 
         if reference_model is None:
-            cfg = TrainConfig(epochs=800, pretrain_epochs=0, generator_lr=0.05,
-                              reweight=False, seed=spec.seed)
-            reference_model = train_logistic_baseline(d, cfg)
+            reference_model = train_surrogate(d, spec.seed)
+        elif isinstance(reference_model, Exception):
+            raise reference_model
         group = d.subset(group_idx)
         probs = predict(reference_model, model_inputs(reference_model, group))
         margin = np.where(d.labels[group_idx] == 1, probs, 1.0 - probs)

@@ -95,10 +95,27 @@ def test_verify_mi_command(capsys):
     assert out.count("PASS") == 4
 
 
-@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("run_*.py")),
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
                          ids=lambda path: path.name)
 def test_script_help_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(script), "--help"], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("run_*.py")),
+                         ids=lambda path: path.name)
+@pytest.mark.parametrize("seeds", ["0", "11"])
+def test_script_rejects_seed_count_outside_benchmark_seeds(script, seeds):
+    # run_checked is replaced before the script imports it, so a script that
+    # accepts the value stops with "training started" instead of training.
+    code = ("import runpy, sys\n"
+            "import fairrobust.harness as harness\n"
+            "harness.run_checked = lambda spec: sys.exit('training started')\n"
+            f"sys.argv = [{str(script)!r}, '--seeds', {seeds!r}]\n"
+            f"runpy.run_path({str(script)!r}, run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "between 1 and 10" in result.stderr

@@ -163,3 +163,64 @@ def test_run_single_equals_benchmark_pipeline(config_fn, poison_fraction, val_fr
     assert (row["status"], row["acc"], row["di"], row["eo0"], row["eo1"]) == (
         "ok", report.accuracy, report.disparate_impact,
         report.equalized_odds[0], report.equalized_odds[1])
+
+
+@pytest.mark.parametrize("fields, trained", [
+    (dict(sweep_axis="poison_fraction", grid=[0.1, 0.2, 0.3, 0.4]), 2),
+    (dict(poison_fraction=0.1, sweep_axis="lambda1", grid=[0.0, 0.2, 0.4]), 2),
+    (dict(poison_fraction=0.2, sweep_axis="val_fraction", grid=[0.1, 0.2]), 4),
+    (dict(poison_strategy="random", sweep_axis="poison_fraction", grid=[0.1, 0.3]), 0),
+], ids=["poison_fraction", "lambda1", "val_fraction", "random"])
+def test_sweep_trains_each_distinct_surrogate_once(monkeypatch, fields, trained):
+    # A surrogate depends on the seed and the split only; every run of a
+    # sweep must still equal a standalone run that trains its own.
+    from fairrobust import harness, poison
+
+    calls = []
+    original = poison.train_surrogate
+
+    def counting(d, seed):
+        calls.append(seed)
+        return original(d, seed)
+
+    monkeypatch.setattr(poison, "train_surrogate", counting)
+    monkeypatch.setattr(harness, "train_surrogate", counting)
+    spec = tiny_spec(base=TrainConfig(lambda1=0.2, lambda2=0.1, epochs=10, pretrain_epochs=3),
+                     synthetic=SyntheticSpec(n=500), **fields)
+    rows, _ = run_experiment(spec, jobs=1)
+    assert len(calls) == trained
+    assert all(r["status"] == "ok" for r in rows)
+    for row in rows:
+        alone = run_single(spec, row["grid_value"], row["seed"])
+        assert {k: v for k, v in row.items() if k != "runtime_s"} == \
+               {k: v for k, v in alone.items() if k != "runtime_s"}
+
+
+def test_failed_surrogate_fails_every_run_that_needs_it(tmp_path):
+    spec = tiny_spec(synthetic=None, train_csv=str(tmp_path / "missing.csv"),
+                     test_csv=str(tmp_path / "test.csv"), sweep_axis="poison_fraction",
+                     grid=[0.1, 0.2])
+    rows, _ = run_experiment(spec, jobs=1)
+    alone = run_single(spec, 0.1, 0)["error"]
+    assert alone.startswith("FileNotFoundError")
+    assert [(r["status"], r["error"]) for r in rows] == [("failed", alone)] * 4
+
+
+def test_failed_surrogate_keeps_the_flip_budget_check_first(monkeypatch):
+    # A run over its flip budget reports PoisonBudgetError, as a run that
+    # trains its own surrogate does, and the others the surrogate's error.
+    from fairrobust import harness, poison
+
+    def diverging(d, seed):
+        raise FloatingPointError("surrogate diverged")
+
+    monkeypatch.setattr(poison, "train_surrogate", diverging)
+    monkeypatch.setattr(harness, "train_surrogate", diverging)
+    spec = tiny_spec(sweep_axis="poison_fraction", grid=[0.1, 0.9])
+    rows, _ = run_experiment(spec, jobs=1)
+    assert [(r["grid_value"], r["error"].split(":")[0]) for r in rows] == [
+        (0.1, "FloatingPointError"), (0.1, "FloatingPointError"),
+        (0.9, "PoisonBudgetError"), (0.9, "PoisonBudgetError")]
+    for row in rows:
+        alone = run_single(spec, row["grid_value"], row["seed"])
+        assert (row["status"], row["error"]) == ("failed", alone["error"])

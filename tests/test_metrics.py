@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrobust.metrics import (
+    _rate_ratio,
     UndefinedGroupError,
     accuracy,
     compute_report,
     confusion_by_group,
     disparate_impact,
-    empirical_conditional_entropy,
     empirical_entropy,
     equal_opportunity,
     equalized_odds,
+    positive_rates,
 )
 
 
@@ -77,6 +78,56 @@ def test_di_group_swap_and_permutation_invariance(pairs, rnd):
     assert permuted == pytest.approx(base)
 
 
+def _masked_rates(predictions, z, z_cardinality=None):
+    """Reference: the mean prediction under a boolean mask per group."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    rates = {}
+    for code in range(z_cardinality) if z_cardinality else np.unique(z):
+        mask = z == code
+        if not mask.any():
+            raise UndefinedGroupError(f"group {int(code)} absent")
+        rates[int(code)] = float(predictions[mask].mean())
+    return rates
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndefinedGroupError:
+        return UndefinedGroupError
+
+
+def _masked_di(predictions, z, z_cardinality=None):
+    rates = list(_masked_rates(predictions, z, z_cardinality).values())
+    if len(rates) < 2:
+        raise UndefinedGroupError("fewer than two groups")
+    return min(_rate_ratio(a, b) for i, a in enumerate(rates) for b in rates[i + 1:])
+
+
+def test_counted_rates_equal_masked_means_bit_for_bit():
+    rng = np.random.default_rng(7)
+    undefined = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 80))
+        present = rng.choice(7, size=int(rng.integers(1, 5)), replace=False)  # codes with gaps
+        z = rng.choice(present, size=n)
+        preds = (rng.random(n) < rng.random()).astype(np.int64)
+        for card in (None, int(rng.integers(1, 8))):
+            want = _outcome(_masked_rates, preds, z, card)
+            assert _outcome(positive_rates, preds, z, card) == want
+            assert _outcome(disparate_impact, preds, z, card) == _outcome(_masked_di, preds, z, card)
+            undefined += want is UndefinedGroupError
+    assert undefined > 100  # the absent-group cases were exercised
+
+
+def test_positive_rates_rejects_negative_group_code():
+    with pytest.raises(ValueError, match="nonnegative"):
+        positive_rates([1, 0, 1], [0, -1, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        disparate_impact([1, 0, 1], [0, -1, 1], z_cardinality=2)
+
+
 def test_equalized_odds_equal_conditional_rates():
     preds = [1, 0, 1, 0, 1, 1, 1, 1]
     z = [0, 0, 1, 1, 0, 0, 1, 1]
@@ -132,14 +183,6 @@ def test_entropy_balanced_binary():
 
 def test_entropy_degenerate():
     assert empirical_entropy([1, 1, 1]) == 0.0
-
-
-def test_conditional_entropy():
-    codes = [0, 1, 0, 1, 0, 0]
-    cond = [0, 0, 0, 0, 1, 1]
-    # H(Z|Y=0) = H(1/2), H(Z|Y=1) = 0; weights 4/6, 2/6.
-    expected = (4 / 6) * math.log(2)
-    assert empirical_conditional_entropy(codes, cond) == pytest.approx(expected)
 
 
 def test_group_confusion_sums_to_global():
