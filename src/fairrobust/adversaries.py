@@ -111,18 +111,6 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p[mask] * np.log(p[mask])).sum())
 
 
-def _project_simplex_columns(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each column onto the probability simplex."""
-    k = v.shape[0]
-    u = -np.sort(-v, axis=0)
-    css = np.cumsum(u, axis=0) - 1.0
-    ind = np.arange(1, k + 1, dtype=np.float64)[:, None]
-    cond = u - css / ind > 0
-    rho = k - 1 - np.argmax(cond[::-1, :], axis=0)
-    theta = css[rho, np.arange(v.shape[1])] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def _table_payoff(mass: np.ndarray, table: np.ndarray) -> float:
     mask = mass > 0
     return float((mass[mask] * np.log(np.clip(table[mask], LOG_EPS, None))).sum())
@@ -185,17 +173,6 @@ class DiscriminatorBound:
     value: float  # payoff at the closed-form optimal table, plus the entropy constant
     optimal_table: np.ndarray
     numeric_value: float  # payoff maximized by projected gradient ascent
-
-
-def table_objective(j: DiscreteJoint, table: np.ndarray) -> float:
-    """Payoff sum p(a,b) log D_a(b) + H(A) for any column-simplex table D."""
-    p = j.pmf
-    table = np.asarray(table, dtype=np.float64)
-    if table.shape != p.shape:
-        raise InvalidJointError("table shape must match the pmf")
-    if not np.allclose(table.sum(axis=0), 1.0, atol=1e-9) or table.min() < 0:
-        raise InvalidJointError("table columns must lie on the simplex")
-    return _table_payoff(p, table) + _entropy(p.sum(axis=tuple(range(1, p.ndim))))
 
 
 def mi_via_discriminator(j: DiscreteJoint) -> DiscriminatorBound:

@@ -43,7 +43,6 @@ def benchmark_datasets(
     seed: int,
     poison_fraction: float = 0.0,
     val_fraction: float = SPLIT_FRACTIONS[1],
-    poison_strategy: str = "degradation-surrogate",
 ) -> tuple[Dataset, Dataset, Dataset]:
     """(train, val, test) for one benchmark seed.
 
@@ -52,7 +51,7 @@ def benchmark_datasets(
     """
     test_fraction = SPLIT_FRACTIONS[2]
     fractions = (1.0 - val_fraction - test_fraction, val_fraction, test_fraction)
-    return make_datasets(seed, fractions, poison_fraction, POISON_GROUP, poison_strategy)
+    return make_datasets(seed, fractions, poison_fraction, POISON_GROUP, "degradation-surrogate")
 
 
 def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: int,
@@ -62,8 +61,8 @@ def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: in
 
     Seed streams 0, 1 and 2 of ``seed`` drive generation, the split and the
     poisoning. ``loaded`` is (train, val or None, test) read from files; it
-    replaces generation, and without a validation part the split carves
-    ``fractions[1]`` of the training rows off as validation.
+    replaces generation, and without a validation part the training rows are
+    split by exactly ``fractions``, whose test share the caller sets to 0.
     ``reference_model`` goes to ``flip_labels``.
     """
     if loaded is None:
@@ -72,8 +71,7 @@ def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: in
     else:
         train, val, test = loaded
         if val is None:
-            f_val = fractions[1]
-            train, val, _ = split(train, (1.0 - f_val, f_val, 0.0), derive_seed(seed, 1))
+            train, val, _ = split(train, fractions, derive_seed(seed, 1))
     if poison_fraction > 0:
         spec = PoisonSpec(
             target_group=poison_group,

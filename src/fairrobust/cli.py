@@ -197,12 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-out", dest="history_out")
     p.add_argument("--no-reweight", action="store_true")
     for name in _TRAIN_OVERRIDES:
-        kind = str if name == "fairness_criterion" else (
-            int if name in ("epochs", "pretrain_epochs", "update_ratio", "seed",
-                            "generator_hidden", "robust_hidden", "batch_size")
-            else float
-        )
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind)
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                       type=type(getattr(TrainConfig, name)))
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="run an experiment grid from a JSON spec")

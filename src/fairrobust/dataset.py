@@ -217,33 +217,21 @@ def save_csv(d: Dataset, path) -> None:
             )
 
 
-def load_csv(
-    path,
-    feature_columns=None,
-    z_column: str = "z",
-    y_column: str = "y",
-    weight_column: str = "w",
-    z_cardinality=None,
-) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a dataset from CSV.
 
-    When ``feature_columns`` is None, every column other than z/y/w is a feature,
+    Columns ``z`` (group code) and ``y`` (0/1 label) are required and ``w``
+    (example weight, default 1) is optional; every other column is a feature,
     in header order. Errors name the offending row (1-based data row) and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for col in (z_column, y_column):
+        for col in ("z", "y"):
             if col not in header:
                 raise DataError(f"missing required column {col!r}")
-        if feature_columns is None:
-            skip = {z_column, y_column, weight_column}
-            feature_columns = [c for c in header if c not in skip]
-        else:
-            for col in feature_columns:
-                if col not in header:
-                    raise DataError(f"missing feature column {col!r}")
-        has_weight = weight_column in header
+        feature_columns = [c for c in header if c not in ("z", "y", "w")]
+        has_weight = "w" in header
         features, sensitive, labels, weights = [], [], [], []
         for row_num, row in enumerate(reader, start=1):
             def cell(col, kind, row=row, row_num=row_num):
@@ -262,23 +250,18 @@ def load_csv(
                 return value
 
             features.append([cell(c, float) for c in feature_columns])
-            z = cell(z_column, int)
-            y = cell(y_column, int)
+            z = cell("z", int)
+            y = cell("y", int)
             if y not in (0, 1):
-                raise DataError(f"row {row_num}: label {y} out of range in column {y_column!r}")
-            if z < 0 or (z_cardinality is not None and z >= z_cardinality):
-                raise DataError(f"row {row_num}: sensitive code {z} out of range in column {z_column!r}")
+                raise DataError(f"row {row_num}: label {y} out of range in column 'y'")
+            if z < 0:
+                raise DataError(f"row {row_num}: sensitive code {z} out of range in column 'z'")
             sensitive.append(z)
             labels.append(y)
-            weights.append(cell(weight_column, float) if has_weight else 1.0)
-    if z_cardinality is None:
-        z_cardinality = max(2, (max(sensitive) + 1) if sensitive else 2)
-    features_arr = (
-        np.asarray(features, dtype=np.float64)
-        if features
-        else np.zeros((0, len(feature_columns)))
-    )
-    return Dataset(features_arr, sensitive, labels, weights, z_cardinality=z_cardinality)
+            weights.append(cell("w", float) if has_weight else 1.0)
+    features_arr = np.asarray(features, dtype=np.float64)
+    return Dataset(features_arr.reshape(len(features), len(feature_columns)), sensitive, labels,
+                   weights, z_cardinality=max(2, max(sensitive, default=0) + 1))
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,6 @@ class MLPModel:
     weights: list[np.ndarray]  # per layer, shape (fan_in, fan_out)
     biases: list[np.ndarray]
 
-    def copy(self) -> "MLPModel":
-        return MLPModel(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def init_model(spec: MLPSpec, seed: int) -> MLPModel:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
@@ -241,34 +238,6 @@ def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
         m_hat = state.m[i] / (1 - b1**state.t)
         v_hat = state.v[i] / (1 - b2**state.t)
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def get_flat_params(model: MLPModel) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in model.weights + model.biases])
-
-
-def set_flat_params(model: MLPModel, flat: np.ndarray) -> None:
-    offset = 0
-    for p in model.weights + model.biases:
-        p[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-    if offset != flat.size:
-        raise ValueError("flat parameter vector has wrong length")
-
-
-def flatten_grads(grads: Gradients) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grads.weights + grads.biases])
-
-
-def numeric_gradient(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of a flat vector."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    out = np.zeros_like(x0)
-    for i in range(x0.size):
-        step = np.zeros_like(x0)
-        step[i] = h
-        out[i] = (f(x0 + step) - f(x0 - step)) / (2 * h)
-    return out
 
 
 def save_model(model: MLPModel, path) -> None:

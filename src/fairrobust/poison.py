@@ -54,8 +54,7 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
     Returns the poisoned dataset (flips recorded in ``poisoned_indices``) and
     the flipped row indices. Deterministic given the spec's seed; rows that are
     not flipped are bit-identical to the input. ``degradation-surrogate``
-    ranks rows with ``reference_model``, trains it when it is None, and raises
-    it when it is the exception that training it elsewhere raised.
+    ranks rows with ``reference_model`` and trains it when it is None.
     """
     n = len(d)
     n_flips = int(math.ceil(spec.fraction * n))
@@ -78,8 +77,6 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
 
         if reference_model is None:
             reference_model = train_surrogate(d, spec.seed)
-        elif isinstance(reference_model, Exception):
-            raise reference_model
         group = d.subset(group_idx)
         probs = predict(reference_model, model_inputs(reference_model, group))
         margin = np.where(d.labels[group_idx] == 1, probs, 1.0 - probs)

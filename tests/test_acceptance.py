@@ -32,18 +32,15 @@ from fairrobust.nnet import (
     MLPModel,
     MLPSpec,
     backward,
-    flatten_grads,
     forward,
     forward_with_cache,
-    get_flat_params,
     init_model,
-    numeric_gradient,
-    set_flat_params,
     weighted_cross_entropy,
     weighted_cross_entropy_grad,
 )
 from fairrobust.poison import PoisonSpec, flip_labels
 from fairrobust.trainer import evaluate_model, train_fair_robust
+from gradcheck import flatten_grads, get_flat_params, numeric_gradient, set_flat_params
 
 pytestmark = pytest.mark.acceptance
 

@@ -20,17 +20,15 @@ from fairrobust.adversaries import (
     robustness_inputs,
     robustness_objective,
     robustness_rows,
-    table_objective,
 )
 from fairrobust.metrics import empirical_entropy
-from fairrobust.nnet import (
-    backward,
+from fairrobust.nnet import backward, forward, forward_with_cache
+from gradcheck import (
     flatten_grads,
-    forward,
-    forward_with_cache,
     get_flat_params,
     numeric_gradient,
     set_flat_params,
+    table_objective,
 )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairrobust import benchmarks as B
-from fairrobust.dataset import SyntheticSpec
+from fairrobust.dataset import SyntheticSpec, save_csv
 from fairrobust.harness import (
     ExperimentSpec,
     emit_tradeoff_curve,
@@ -224,3 +224,45 @@ def test_failed_surrogate_keeps_the_flip_budget_check_first(monkeypatch):
     for row in rows:
         alone = run_single(spec, row["grid_value"], row["seed"])
         assert (row["status"], row["error"]) == ("failed", alone["error"])
+
+
+def _without_runtime(rows):
+    return [{k: v for k, v in r.items() if k != "runtime_s"} for r in rows]
+
+
+def test_pool_rows_equal_in_process_rows():
+    # Shared surrogates go to the workers and models come back; the 0.9
+    # point fails its flip budget in a worker and is still recorded.
+    spec = tiny_spec(base=replace(B.baseline_config(0), epochs=30),
+                     sweep_axis="poison_fraction", grid=[0.1, 0.9])
+    rows_1, aggregates_1 = run_experiment(spec, jobs=1)
+    rows_2, aggregates_2 = run_experiment(spec, jobs=2)
+    assert [r["status"] for r in rows_1] == ["ok", "ok", "failed", "failed"]
+    assert _without_runtime(rows_2) == _without_runtime(rows_1)
+    assert aggregates_2 == aggregates_1
+
+
+def test_invalid_grid_config_fails_only_its_own_rows():
+    spec = tiny_spec(base=TrainConfig(lambda1=0.2, lambda2=0.4, epochs=15, pretrain_epochs=5),
+                     grid=[0.3, 0.7])
+    rows, aggregates = run_experiment(spec)
+    assert [(r["grid_value"], r["status"], r["error"]) for r in rows] == [
+        (0.3, "ok", ""), (0.3, "ok", ""),
+        (0.7, "failed", "ConfigError: lambda1 + lambda2 must be < 1"),
+        (0.7, "failed", "ConfigError: lambda1 + lambda2 must be < 1")]
+    assert [a["n_ok"] for a in aggregates] == [2, 0]
+
+
+def test_csv_spec_hashes_only_the_split_it_makes(tmp_path):
+    # With train_csv only the validation share is used, so the train and
+    # test shares of split_fractions must not change a row or its hash.
+    train, _, test = B.make_datasets(0, B.SPLIT_FRACTIONS, 0.0, B.POISON_GROUP,
+                                     "degradation-surrogate", SyntheticSpec(n=300))
+    save_csv(train, tmp_path / "train.csv")
+    save_csv(test, tmp_path / "test.csv")
+    rows = [run_experiment(tiny_spec(synthetic=None, train_csv=str(tmp_path / "train.csv"),
+                                     test_csv=str(tmp_path / "test.csv"),
+                                     split_fractions=fractions))[0]
+            for fractions in [(0.8, 0.1, 0.1), (0.5, 0.1, 0.4)]]
+    assert all(r["status"] == "ok" for r in rows[0])
+    assert _without_runtime(rows[1]) == _without_runtime(rows[0])

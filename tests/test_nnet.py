@@ -13,20 +13,17 @@ from fairrobust.nnet import (
     _sigmoid,
     adam_step,
     backward,
-    flatten_grads,
     forward,
     forward_with_cache,
-    get_flat_params,
     init_model,
     init_optimizer,
     load_model,
-    numeric_gradient,
     save_model,
-    set_flat_params,
     sgd_step,
     weighted_cross_entropy,
     weighted_cross_entropy_grad,
 )
+from gradcheck import flatten_grads, get_flat_params, numeric_gradient, set_flat_params
 
 
 def _zeroed(spec):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fairrobust import adversaries, benchmarks, trainer
 from fairrobust.dataset import DataError, Dataset, SyntheticSpec, generate_synthetic, split
 from fairrobust.metrics import disparate_impact
-from fairrobust.nnet import get_flat_params
 from fairrobust.trainer import (
     ConfigError,
     TrainConfig,
@@ -23,6 +22,7 @@ from fairrobust.trainer import (
     train_fair_robust,
     train_logistic_baseline,
 )
+from gradcheck import get_flat_params
 
 
 def small_config(**kwargs):
