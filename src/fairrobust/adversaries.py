@@ -310,13 +310,6 @@ class RobustnessRows:
     train: np.ndarray
     val: np.ndarray
 
-    def train_rows(self, idx=None) -> np.ndarray:
-        """Both label slots of the training rows ``idx`` (None = all rows)."""
-        if idx is None:
-            return self.train
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.train[np.concatenate([idx, idx + len(self.train) // 2])]
-
 
 def robustness_rows(adv: RobustnessAdversary, train_features, train_z, val_features,
                     val_z, val_labels) -> RobustnessRows:
@@ -417,7 +410,7 @@ def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, stra
 
 
 def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_predictions,
-                         idx=None, param_grads: bool = True) -> RobustnessEval:
+                         param_grads: bool = True) -> RobustnessEval:
     """Balanced real-vs-generated payoff between validation rows and training rows.
 
     Validation rows carry their true labels y in {0, 1}. A training row carries
@@ -432,17 +425,15 @@ def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_p
     affine in each yhat_i, with prediction gradient
     [log(1 - D(., 1)) - log(1 - D(., 0))] / 2m.
 
-    ``rows`` comes from ``robustness_rows``; ``idx`` selects the training rows
-    of a mini-batch (None = all), and ``train_predictions`` holds one yhat per
-    selected row. The adversary's parameter gradients are computed only when
-    ``param_grads`` is set.
+    ``rows`` comes from ``robustness_rows``, and ``train_predictions`` holds
+    one yhat per training row. The adversary's parameter gradients are
+    computed only when ``param_grads`` is set.
     """
     yhat = np.asarray(train_predictions, dtype=np.float64).reshape(-1)
-    x_tr = rows.train_rows(idx)
     m_tr, m_va = len(yhat), len(rows.val)
-    if len(x_tr) != 2 * m_tr:
-        raise ValueError(f"{m_tr} predictions for {len(x_tr) // 2} training rows")
-    cache_tr = forward_with_cache(adv.model, x_tr)
+    if len(rows.train) != 2 * m_tr:
+        raise ValueError(f"{m_tr} predictions for {len(rows.train) // 2} training rows")
+    cache_tr = forward_with_cache(adv.model, rows.train)
     cache_va = forward_with_cache(adv.model, rows.val)
     d_tr = cache_tr.output.ravel()
     d_pos, d_neg = d_tr[:m_tr], d_tr[m_tr:]

@@ -2,7 +2,8 @@
 
 Subcommands: gen-synth, poison, train, sweep, metrics, aggregate-crowd,
 verify-mi. Each accepts ``--config FILE`` (JSON) plus flag overrides; flags win
-over file values.
+over file values. A config key that the subcommand does not read, or any other
+``ConfigError``, exits with code 2 and the error on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,14 +29,21 @@ from .dataset import (
 from .harness import ExperimentSpec, run_experiment
 from .nnet import load_model, save_model
 from .poison import PoisonSpec, flip_labels
-from .trainer import TrainConfig, evaluate_model, train_fair_robust
+from .trainer import ConfigError, TrainConfig, evaluate_model, reject_unknown_keys, train_fair_robust
+
+_POISON_KEYS = ("group", "fraction", "strategy", "seed")
 
 
-def _load_config(path) -> dict:
+def _load_config(path, known=None) -> dict:
+    """JSON values of ``path`` ({} without one); with ``known``, a key outside
+    it raises ``ConfigError``."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        values = json.load(fh)
+    if known is not None:
+        reject_unknown_keys((values, known, ""))
+    return values
 
 
 def _merged(file_values: dict, args: argparse.Namespace, keys) -> dict:
@@ -48,10 +57,9 @@ def _merged(file_values: dict, args: argparse.Namespace, keys) -> dict:
 
 
 def _cmd_gen_synth(args) -> int:
-    values = _merged(_load_config(args.config), args,
+    values = _merged(_load_config(args.config, SyntheticSpec.__dataclass_fields__), args,
                      ["n", "label_prior", "rotation_angle"])
-    spec = SyntheticSpec(**{k: values[k] for k in values
-                            if k in SyntheticSpec.__dataclass_fields__})
+    spec = SyntheticSpec(**values)
     ds = generate_synthetic(spec, args.seed)
     save_csv(ds, args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
@@ -59,8 +67,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_poison(args) -> int:
-    values = _merged(_load_config(args.config), args,
-                     ["group", "fraction", "strategy", "seed"])
+    values = _merged(_load_config(args.config, _POISON_KEYS), args, _POISON_KEYS)
     ds = load_csv(args.data)
     spec = PoisonSpec(
         target_group=int(values.get("group", 1)),
@@ -74,20 +81,12 @@ def _cmd_poison(args) -> int:
     return 0
 
 
-_TRAIN_OVERRIDES = [
-    "lambda1", "lambda2", "c_threshold", "fairness_criterion", "generator_lr",
-    "disc_lr", "epochs", "pretrain_epochs", "update_ratio", "seed",
-    "generator_hidden", "robust_hidden", "batch_size",
-]
-
-
 def _cmd_train(args) -> int:
-    values = _merged(_load_config(args.config), args, _TRAIN_OVERRIDES)
+    known = TrainConfig.__dataclass_fields__
+    values = _merged(_load_config(args.config, known), args, known)
     if args.no_reweight:
         values["reweight"] = False
-    cfg = TrainConfig.from_json_dict(
-        {k: v for k, v in values.items() if k in TrainConfig.__dataclass_fields__}
-    )
+    cfg = TrainConfig(**values)
     train = load_csv(args.train)
     val = load_csv(args.val) if args.val else None
     model, history = train_fair_robust(train, val, cfg)
@@ -196,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--history-out", dest="history_out")
     p.add_argument("--no-reweight", action="store_true")
-    for name in _TRAIN_OVERRIDES:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                       type=type(getattr(TrainConfig, name)))
+    for f in fields(TrainConfig):
+        if f.name != "reweight":  # set by --no-reweight
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="run an experiment grid from a JSON spec")
@@ -232,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"fairrobust {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import numpy as np
 from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
 from .dataset import SyntheticSpec, load_csv
 from .poison import train_surrogate
-from .trainer import TrainConfig, evaluate_model, train_fair_robust
+from .trainer import TrainConfig, evaluate_model, reject_unknown_keys, train_fair_robust
 
 RUN_FIELDS = ["lambda1", "lambda2", "seed", "acc", "di", "eo0", "eo1", "eopp", "runtime_s"]
 EXTRA_FIELDS = ["sweep_axis", "grid_value", "config_hash", "status", "error"]
@@ -77,8 +77,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentSpec":
+        """Build a spec from JSON values; ``ConfigError`` names every key that
+        neither the spec, its ``base`` nor its ``synthetic`` part reads."""
         payload = dict(payload)
-        payload["base"] = TrainConfig.from_json_dict(payload.get("base", {}))
+        reject_unknown_keys(
+            (payload, cls.__dataclass_fields__, ""),
+            (payload.get("base", {}), TrainConfig.__dataclass_fields__, "base."),
+            (payload.get("synthetic") or {}, SyntheticSpec.__dataclass_fields__, "synthetic."),
+        )
+        payload["base"] = TrainConfig(**payload.get("base", {}))
         if payload.get("synthetic") is not None:
             synth = dict(payload["synthetic"])
             for key in ("mean_neg", "cov_neg", "mean_pos", "cov_pos"):
@@ -105,7 +112,7 @@ def _resolve_run(spec: ExperimentSpec, grid_value: float, seed: int):
     """
     fractions = spec.split_fractions
     poison_fraction = spec.poison_fraction
-    config = dict(spec.base.to_json_dict(), seed=derive_seed(seed, 3))
+    config = dict(asdict(spec.base), seed=derive_seed(seed, 3))
     if spec.sweep_axis == "lambda1":
         config["lambda1"] = float(grid_value)
     elif spec.sweep_axis == "poison_fraction":

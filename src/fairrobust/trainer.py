@@ -1,12 +1,13 @@
 """Alternating min-max training: classifier vs fairness and robustness adversaries.
 
-The classifier ("generator") minimizes a convex combination of its weighted
-cross entropy, the fairness adversary's payoff, and the robustness adversary's
-payoff; the adversaries maximize their own payoffs with several ascent steps
-per generator step. When re-weighting is on, per-example weights are rebuilt
-every generator step from the robustness adversary's decision values on each
-training row with its own label, gated by the relative performance of
-classifier and adversary.
+The classifier ("generator") is a logistic model on the features with the
+one-hot sensitive code appended. It minimizes a convex combination of its
+weighted cross entropy, the fairness adversary's payoff, and the robustness
+adversary's payoff; the adversaries maximize their own payoffs with several
+ascent steps per generator step. Every step sees the whole training set. When
+re-weighting is on, per-example weights are rebuilt every generator step from
+the robustness adversary's decision values on each training row with its own
+label, gated by the relative performance of classifier and adversary.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +48,12 @@ from .nnet import (
 logger = logging.getLogger(__name__)
 
 FAIRNESS_CRITERIA = ("DI", "EO", "EOPP")
+ROBUST_HIDDEN = 8  # hidden ReLU units of the robustness adversary
+# The fairness adversary stays frozen until the generator's probe accuracy
+# reaches UNFREEZE_ACCURACY or UNFREEZE_EPOCH_FRACTION of the epochs have
+# elapsed, whichever happens first.
+UNFREEZE_ACCURACY = 0.65
+UNFREEZE_EPOCH_FRACTION = 0.30
 
 
 class ConfigError(ValueError):
@@ -55,14 +62,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training run.
+    """Knobs for one full-batch training run.
 
     ``lambda1`` and ``lambda2`` weight the fairness and robustness payoffs; the
     cross entropy is scaled by ``1 - lambda1 - lambda2``. ``update_ratio`` is
-    the number of adversary ascent steps per generator step. The fairness
-    adversary stays frozen until the generator's probe accuracy reaches
-    ``unfreeze_accuracy`` or ``unfreeze_epoch_fraction`` of the epochs have
-    elapsed, whichever happens first.
+    the number of adversary ascent steps per generator step, and
+    ``pretrain_epochs`` generator steps on the cross entropy alone come first.
+    The model architecture and the fairness warm-up are fixed (see the module
+    constants).
     """
 
     lambda1: float = 0.0
@@ -73,16 +80,9 @@ class TrainConfig:
     disc_lr: float = 0.05
     epochs: int = 2000
     pretrain_epochs: int = 200
-    unfreeze_accuracy: float = 0.65
-    unfreeze_epoch_fraction: float = 0.30
     update_ratio: int = 3
     reweight: bool = True
     seed: int = 0
-    batch_size: int = 0  # 0 = full batch
-    generator_hidden: int = 0
-    robust_hidden: int = 8
-    hidden_activation: str = "relu"
-    sensitive_input: bool = True  # append one-hot z to the classifier input
 
     def __post_init__(self):
         if not (0.0 <= self.lambda1 < 1.0 and 0.0 <= self.lambda2 < 1.0):
@@ -97,15 +97,18 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1 and pretrain_epochs >= 0")
         if self.update_ratio < 1:
             raise ConfigError("update_ratio must be >= 1")
-        if self.batch_size < 0:
-            raise ConfigError("batch_size must be >= 0")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TrainConfig":
-        return cls(**payload)
+def reject_unknown_keys(*sections) -> None:
+    """Raise ``ConfigError`` naming every config key that nothing reads.
+
+    Each section is (payload dict, the keys that are read, prefix for the
+    message).
+    """
+    unknown = [prefix + key for payload, known, prefix in sections
+               for key in payload if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
 @dataclass
@@ -129,7 +132,7 @@ class TrainHistory:
         return len(self.l1)
 
     def to_csv(self, path) -> None:
-        cols = ["l1", "l2", "l3", "l_c", "l_d", "r", "probe_accuracy", "probe_di"]
+        cols = [f.name for f in fields(self)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch"] + cols)
@@ -168,20 +171,15 @@ def decide(probabilities) -> np.ndarray:
 
 
 def model_inputs(model: MLPModel, d: Dataset) -> np.ndarray:
-    """Input matrix for a model trained on this dataset's schema.
-
-    Matches on the model's input width: either the plain features or the
-    features with one-hot sensitive codes appended.
-    """
+    """Input matrix for a model trained on this dataset's schema: the features
+    with one-hot sensitive codes appended."""
     want = model.spec.input_dim
-    if want == d.feature_dim:
-        return d.features
-    if want == d.feature_dim + d.z_cardinality:
-        return _augment(d.features, d.sensitive, d.z_cardinality)
-    raise ConfigError(
-        f"model expects input dim {want}; dataset provides {d.feature_dim} features "
-        f"and {d.z_cardinality} sensitive codes"
-    )
+    if want != d.feature_dim + d.z_cardinality:
+        raise ConfigError(
+            f"model expects input dim {want}; dataset provides {d.feature_dim} features "
+            f"and {d.z_cardinality} sensitive codes"
+        )
+    return _augment(d.features, d.sensitive, d.z_cardinality)
 
 
 def _augment(features, sensitive, z_cardinality: int) -> np.ndarray:
@@ -255,21 +253,10 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
 
     z, y, w0 = train.sensitive, train.labels, train.weights
     strata = _fairness_strata(cfg.fairness_criterion, y)
-    x = (
-        _augment(train.features, z, train.z_cardinality)
-        if cfg.sensitive_input
-        else train.features
-    )
+    x = _augment(train.features, z, train.z_cardinality)
     lam0 = 1.0 - cfg.lambda1 - cfg.lambda2
-    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(4)]
-    gen_spec = MLPSpec(
-        input_dim=x.shape[1],
-        hidden_dim=cfg.generator_hidden,
-        output_dim=1,
-        hidden_activation=cfg.hidden_activation,
-        output_activation="sigmoid",
-    )
-    gen = init_model(gen_spec, seeds[0])
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
+    gen = init_model(MLPSpec(input_dim=x.shape[1]), seeds[0])
     opt_gen = init_optimizer("adam", cfg.generator_lr, gen)
 
     fairness = None
@@ -280,12 +267,11 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     opt_rob = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
-                                              cfg.robust_hidden, seeds[2])
+                                              ROBUST_HIDDEN, seeds[2])
         opt_rob = init_optimizer("sgd", cfg.disc_lr, robustness.model)
         rob_rows = robustness_rows(robustness, train.features, z,
                                    val.features, val.sensitive, val.labels)
 
-    batch_rng = np.random.default_rng(seeds[3])
     history = TrainHistory()
 
     for _ in range(cfg.pretrain_epochs):
@@ -293,68 +279,10 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         _, d_l1 = weighted_cross_entropy_grad(cache.output.ravel(), y, w0)
         adam_step(gen, backward(gen, cache, (lam0 * d_l1)[:, None], input_grad=False), opt_gen)
 
-    weights = w0.copy()
+    weights = w0
     fairness_released = False
-    gate_epoch = int(cfg.unfreeze_epoch_fraction * cfg.epochs)
-    state = {"suspension_warned": False}
-
-    def run_round(idx: np.ndarray | None):
-        """One adversary/generator round on the given rows (None = full batch)."""
-        nonlocal weights, fairness_released
-        if idx is None:
-            bx, bz, by, bs, bw0 = x, z, y, strata, w0
-        else:
-            bx, bz, by, bs, bw0 = x[idx], z[idx], y[idx], strata[idx], w0[idx]
-        cache = forward_with_cache(gen, bx)
-        yhat = cache.output.ravel()
-        bweights = weights if idx is None else weights[idx]
-
-        for _ in range(cfg.update_ratio):
-            if fairness is not None and fairness_released:
-                fairness.ascend(yhat, bz, bs, bweights)
-            if robustness is not None:
-                rv = robustness_objective(robustness, rob_rows, yhat, idx)
-                sgd_step(robustness.model,
-                         rv.adversary_grads().scaled(-1.0), opt_rob)
-
-        l_c = l_d = r_gate = float("nan")
-        rv = None
-        if robustness is not None:
-            rv = robustness_objective(robustness, rob_rows, yhat, idx, param_grads=False)
-        if cfg.reweight and rv is not None:
-            l_c = weighted_cross_entropy(yhat, by, bw0)
-            l_d = rv.value
-            if l_d <= 0.0 and not state["suspension_warned"]:
-                logger.warning(
-                    "re-weighting suspended while adversary payoff <= 0 "
-                    "(first at payoff %.4g); weights stay 1 until it recovers", l_d)
-                state["suspension_warned"] = True
-            wt, r_gate = compute_example_weights(rv.label_scores(by), l_c, l_d,
-                                                 cfg.c_threshold)
-            bweights = bw0 * wt
-            if idx is None:
-                weights = bweights
-            else:
-                weights = weights.copy()
-                weights[idx] = bweights
-        else:
-            bweights = bw0
-
-        l1, d_l1 = weighted_cross_entropy_grad(yhat, by, bweights)
-        d_total = lam0 * d_l1
-        l2 = 0.0
-        if fairness is not None:
-            l2, fair_grad = fairness.evaluate(yhat, bz, bs, bweights)
-            d_total = d_total + cfg.lambda1 * fair_grad
-        l3 = rv.value if rv is not None else 0.0
-        if rv is not None:
-            d_total = d_total + cfg.lambda2 * rv.prediction_grad
-        total = lam0 * l1 + cfg.lambda1 * l2 + cfg.lambda2 * l3
-        if not math.isfinite(total):
-            raise TrainingDivergedError(
-                f"non-finite objective (l1={l1}, l2={l2}, l3={l3})")
-        adam_step(gen, backward(gen, cache, d_total[:, None], input_grad=False), opt_gen)
-        return l1, l2, l3, l_c, l_d, r_gate
+    suspension_warned = False
+    gate_epoch = int(UNFREEZE_EPOCH_FRACTION * cfg.epochs)
 
     for epoch in range(cfg.epochs):
         probs = forward(gen, x).ravel()
@@ -364,18 +292,49 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
             probe_di = disparate_impact(preds, z)
         except UndefinedGroupError:
             probe_di = float("nan")
-        if not fairness_released and (probe_acc >= cfg.unfreeze_accuracy
+        if not fairness_released and (probe_acc >= UNFREEZE_ACCURACY
                                       or epoch >= gate_epoch):
             fairness_released = True
 
-        if cfg.batch_size and cfg.batch_size < len(train):
-            perm = batch_rng.permutation(len(train))
-            stats = None
-            for start in range(0, len(train), cfg.batch_size):
-                stats = run_round(perm[start : start + cfg.batch_size])
-            l1, l2, l3, l_c, l_d, r_gate = stats
-        else:
-            l1, l2, l3, l_c, l_d, r_gate = run_round(None)
+        cache = forward_with_cache(gen, x)
+        yhat = cache.output.ravel()
+        for _ in range(cfg.update_ratio):
+            if fairness is not None and fairness_released:
+                fairness.ascend(yhat, z, strata, weights)
+            if robustness is not None:
+                rv = robustness_objective(robustness, rob_rows, yhat)
+                sgd_step(robustness.model, rv.adversary_grads().scaled(-1.0), opt_rob)
+
+        l_c = l_d = r_gate = float("nan")
+        rv = None
+        if robustness is not None:
+            rv = robustness_objective(robustness, rob_rows, yhat, param_grads=False)
+        if cfg.reweight and rv is not None:
+            l_c = weighted_cross_entropy(yhat, y, w0)
+            l_d = rv.value
+            if l_d <= 0.0 and not suspension_warned:
+                logger.warning(
+                    "re-weighting suspended while adversary payoff <= 0 "
+                    "(first at payoff %.4g); weights stay 1 until it recovers", l_d)
+                suspension_warned = True
+            wt, r_gate = compute_example_weights(rv.label_scores(y), l_c, l_d,
+                                                 cfg.c_threshold)
+            weights = w0 * wt
+
+        l1, d_l1 = weighted_cross_entropy_grad(yhat, y, weights)
+        d_total = lam0 * d_l1
+        l2 = 0.0
+        if fairness is not None:
+            l2, fair_grad = fairness.evaluate(yhat, z, strata, weights)
+            d_total = d_total + cfg.lambda1 * fair_grad
+        l3 = rv.value if rv is not None else 0.0
+        if rv is not None:
+            d_total = d_total + cfg.lambda2 * rv.prediction_grad
+        total = lam0 * l1 + cfg.lambda1 * l2 + cfg.lambda2 * l3
+        if not math.isfinite(total):
+            raise TrainingDivergedError(
+                f"non-finite objective (l1={l1}, l2={l2}, l3={l3})")
+        adam_step(gen, backward(gen, cache, d_total[:, None], input_grad=False), opt_gen)
 
         history.append(l1=l1, l2=l2, l3=l3, l_c=l_c, l_d=l_d, r=r_gate,
                        probe_accuracy=probe_acc, probe_di=probe_di)
@@ -385,6 +344,6 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
 
 def train_logistic_baseline(train: Dataset, cfg: TrainConfig) -> MLPModel:
     """Plain weighted-cross-entropy logistic model; no adversaries, no re-weighting."""
-    base = replace(cfg, lambda1=0.0, lambda2=0.0, reweight=False, generator_hidden=0)
+    base = replace(cfg, lambda1=0.0, lambda2=0.0, reweight=False)
     model, _ = train_fair_robust(train, None, base)
     return model

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairrobust.cli import main
+from fairrobust.cli import build_parser, main
 from fairrobust.dataset import SyntheticSpec, load_csv
 from fairrobust.harness import ExperimentSpec
 from fairrobust.trainer import TrainConfig
@@ -69,6 +70,58 @@ def test_sweep_command(tmp_path, capsys):
     assert rc == 0
     assert (out_dir / "runs.csv").exists()
     assert (out_dir / "aggregates.csv").exists()
+
+
+UNKNOWN_KEY_CONFIGS = {
+    # gen-synth takes its seed from --seed only; train has no batch_size.
+    "gen-synth": ({"n": 50, "seed": 3, "nn": 7}, "seed, nn"),
+    "poison": ({"fraction": 0.1, "target_group": 1}, "target_group"),
+    "train": ({"lamda1": 0.5, "batch_sise": 7, "epochs": 2}, "lamda1, batch_sise"),
+    "sweep": ({"seeds": [0], "grids": [0.1], "base": {"epochs": 2, "batch_size": 0},
+               "synthetic": {"n": 100, "noise": 1.0}},
+              "grids, base.batch_size, synthetic.noise"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNKNOWN_KEY_CONFIGS))
+def test_unknown_config_keys_exit_2_and_are_named(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    main(["gen-synth", "--n", "60", "--seed", "1", "--out", str(data)])
+    values, named = UNKNOWN_KEY_CONFIGS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    argv = {"gen-synth": ["--out", str(out)],
+            "poison": ["--data", str(data), "--out", str(out)],
+            "train": ["--train", str(data), "--model-out", str(out)],
+            "sweep": ["--out-dir", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"fairrobust {command}: error: unknown config keys: {named}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_train_flags_are_the_config_fields_except_reweight(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--help"])
+    options = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert options == {
+        "--help", "--config", "--train", "--val", "--test", "--model-out", "--history-out",
+        "--no-reweight", "--lambda1", "--lambda2", "--c-threshold", "--fairness-criterion",
+        "--generator-lr", "--disc-lr", "--epochs", "--pretrain-epochs", "--update-ratio",
+        "--seed"}
+    flags = {"lambda1": 0.25, "lambda2": 0.125, "c_threshold": 1.5, "fairness_criterion": "EO",
+             "generator_lr": 0.5, "disc_lr": 0.75, "epochs": 7, "pretrain_epochs": 3,
+             "update_ratio": 2, "seed": 9}
+    argv = ["train", "--train", "t.csv", "--no-reweight"]
+    for name, value in flags.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    args = build_parser().parse_args(argv)
+    parsed = {name: getattr(args, name) for name in flags}
+    assert parsed == flags
+    assert {name: type(v) for name, v in parsed.items()} == {
+        name: type(v) for name, v in flags.items()}
 
 
 def test_aggregate_crowd_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fairrobust import adversaries, benchmarks, trainer
 from fairrobust.dataset import DataError, Dataset, SyntheticSpec, generate_synthetic, split
 from fairrobust.metrics import disparate_impact
+from fairrobust.nnet import MLPSpec, init_model
 from fairrobust.trainer import (
     ConfigError,
     TrainConfig,
@@ -85,13 +87,21 @@ def test_end_to_end_hand_counted_di():
     y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
     z = np.array([0, 1, 0, 1, 0, 1, 0, 1, 1, 1])
     ds = Dataset(x, z, y)
-    cfg = small_config(epochs=400, generator_lr=0.2, sensitive_input=False,
-                       reweight=False)
+    cfg = small_config(epochs=400, generator_lr=0.2, reweight=False)
     model = train_logistic_baseline(ds, cfg)
     preds = decide(predict(model, model_inputs(model, ds)))
     assert np.array_equal(preds, y)
     # rates: z=0 -> 1/4, z=1 -> 4/6; hand-counted DI = (1/4)/(4/6) = 0.375
     assert disparate_impact(preds, z) == pytest.approx(0.375)
+
+
+def test_model_inputs_rejects_a_model_on_plain_features():
+    ds = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], [0, 1, 1, 0])
+    plain = init_model(MLPSpec(input_dim=ds.feature_dim), seed=0)
+    assert model_inputs(train_logistic_baseline(ds, small_config(epochs=1)), ds).shape == (4, 4)
+    with pytest.raises(ConfigError, match="expects input dim 2; dataset provides 2 features "
+                                          "and 2 sensitive codes"):
+        model_inputs(plain, ds)
 
 
 def test_linearly_separable_baseline_perfect():
@@ -211,14 +221,6 @@ def test_eo_and_eopp_criteria_run(datasets):
         assert np.isfinite(hist.l2[-1])
 
 
-def test_minibatch_mode_runs_and_is_deterministic(datasets):
-    train, val, _ = datasets
-    cfg = small_config(lambda1=0.3, lambda2=0.1, epochs=15, batch_size=64)
-    model_a, _ = train_fair_robust(train, val, cfg)
-    model_b, _ = train_fair_robust(train, val, cfg)
-    assert np.array_equal(get_flat_params(model_a), get_flat_params(model_b))
-
-
 def test_history_csv_round_trip(tmp_path, datasets):
     train, val, _ = datasets
     _, hist = train_fair_robust(train, val, small_config(lambda1=0.2, lambda2=0.1,
@@ -241,18 +243,18 @@ def test_evaluate_model_reports(datasets):
 HISTORY_COLUMNS = ("l1", "l2", "l3", "l_c", "l_d", "r", "probe_accuracy", "probe_di")
 
 
-@pytest.fixture(scope="module")
-def golden_datasets():
-    train, val, _ = benchmarks.benchmark_datasets(0, 0.1)
+@functools.cache
+def golden_datasets(seed):
+    train, val, _ = benchmarks.benchmark_datasets(seed, 0.1)
     return train, val
 
 
-def golden_run(train, val, criterion, batch_size):
+def golden_run(criterion, seed):
     """sha256 of all history columns and final generator parameters, plus a
     fingerprint: each column's index-weighted sum followed by the parameters."""
-    cfg = replace(benchmarks.poisoned_config(0), fairness_criterion=criterion,
-                  batch_size=batch_size, epochs=40, pretrain_epochs=10)
-    model, hist = train_fair_robust(train, val, cfg)
+    cfg = replace(benchmarks.poisoned_config(seed), fairness_criterion=criterion,
+                  epochs=40, pretrain_epochs=10)
+    model, hist = train_fair_robust(*golden_datasets(seed), cfg)
     cols = np.array([getattr(hist, c) for c in HISTORY_COLUMNS])
     params = get_flat_params(model)
     digest = hashlib.sha256(cols.tobytes() + params.tobytes()).hexdigest()
@@ -262,16 +264,13 @@ def golden_run(train, val, criterion, batch_size):
 
 GOLDEN = {
     ('DI', 0): [732.2263575113644, -10.814213679181082, 16.29180516355312, 732.2263575188764, 16.29180516355312, 819.9999999808299, 389.45875, 659.6697783065677, -0.26015236345789333, 0.4101451233900105, 0.5904367303540982, -0.908690490948115, 0.05780784327451192],
-    ('DI', 256): [561.747302459272, -22.25271843504725, 30.771128440660675, 561.7484819122235, 30.771128440660675, 819.9971681206492, 537.663125, 578.3629926248514, 0.2581116504588523, 0.41226017731983805, 0.4587235521811898, -0.872015996871671, -0.020194185947888982],
     ('EO', 0): [742.8404323623536, -18.201276412741556, 17.00045325387317, 742.8404323712075, 17.00045325387317, 819.9999999777044, 385.726875, 673.2700760061558, -0.2771446219191438, 0.4326222723689097, 0.577950837029488, -0.9025873583915992, 0.06966760121390991],
-    ('EO', 256): [549.8743183243682, -9.767269228597833, 31.637431834388043, 549.875479908733, 31.637431834388043, 819.9971900178457, 540.389375, 565.2423640929612, 0.24839663949251098, 0.291709784233282, 0.293615303315597, -0.47826993420138014, 0.09453725118185059],
     ('EOPP', 0): [686.1625615929257, -3.5310082459256327, 5.929753241906672, 686.1625615929257, 5.929753241906672, 820.0, 486.61812499999996, 440.06929849636134, -0.22750511154075323, 0.8195267150284175, 0.6093996841366104, -0.9004248537861085, -0.16573471593383465],
-    ('EOPP', 256): [542.9221631242416, -11.664607270497495, 20.322266441938563, 542.9221802889826, 20.322266441938563, 819.999958316825, 599.8925, 447.11908443504507, 0.07402046890742855, 0.4809086123118562, -0.3594271916108873, 0.000599033022834268, 0.01228965148032014],
 }
 
 
-@pytest.mark.parametrize("criterion,batch_size", sorted(GOLDEN))
-def test_golden_history_and_parameters(golden_datasets, criterion, batch_size):
-    digest, fingerprint = golden_run(*golden_datasets, criterion, batch_size)
-    print(f"golden {criterion} batch_size={batch_size} sha256 {digest}")
-    np.testing.assert_allclose(fingerprint, GOLDEN[criterion, batch_size], rtol=1e-9, atol=0)
+@pytest.mark.parametrize("criterion,seed", sorted(GOLDEN))
+def test_golden_history_and_parameters(criterion, seed):
+    digest, fingerprint = golden_run(criterion, seed)
+    print(f"golden {criterion} seed={seed} sha256 {digest}")
+    np.testing.assert_allclose(fingerprint, GOLDEN[criterion, seed], rtol=1e-9, atol=0)
