@@ -28,7 +28,6 @@ from .metrics import (
     confusion_by_group,
     disparate_impact,
     empirical_entropy,
-    equal_opportunity,
     equalized_odds,
 )
 from .nnet import MLPModel, MLPSpec, OptimizerState, forward, weighted_cross_entropy
@@ -36,8 +35,6 @@ from .adversaries import (
     DiscreteJoint,
     FairnessAdversary,
     RobustnessAdversary,
-    cmi_exact,
-    cmi_via_discriminator,
     fairness_objective,
     mi_exact,
     mi_via_discriminator,

@@ -2,13 +2,15 @@
 
 Two kinds of machinery live here:
 
-* Exact oracles (``mi_exact``, ``cmi_exact``) and their discriminator-form
-  counterparts on explicit probability tables. The discriminator form evaluates
-  the payoff ``sum_cells p * log D + H(...)`` at the closed-form optimal table
-  (the posterior) and, as an independent check, maximizes the same payoff
-  numerically with projected gradient ascent on the simplex. At the optimum the
-  payoff equals the (conditional) mutual information; ``oracle_deviations``
-  reports the worst gap of either form from the exact value over many joints.
+* The exact oracle ``mi_exact`` and its discriminator form
+  ``mi_via_discriminator`` on explicit probability tables. Both compute the
+  conditional mutual information I(A;B|C); a 2-D joint is the case of a single
+  condition, I(A;B). The discriminator form evaluates the payoff
+  ``sum_cells p * log D + H(A|C)`` at the closed-form optimal table (the
+  posterior) and, as an independent check, maximizes the same payoff
+  numerically by exponentiated-gradient ascent on the simplex. At the optimum
+  the payoff equals the mutual information; ``oracle_deviations`` reports the
+  worst gap of either form from the exact value over many joints.
 
 * Empirical adversary objectives used during training: the fairness payoff on
   (prediction, group) pairs, summed over strata of rows with one adversary head
@@ -84,26 +86,24 @@ def _xlogratio(p: np.ndarray, q: np.ndarray) -> float:
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
+def _by_condition(p: np.ndarray) -> np.ndarray:
+    """The (a, b, condition) view of a joint: a 2-D joint has one condition."""
+    return p.reshape(p.shape[0], p.shape[1], -1)
+
+
 def mi_exact(j: DiscreteJoint) -> float:
-    """I(A;B) = sum p(a,b) log [p(a,b) / (p(a)p(b))], in nats."""
-    p = j.pmf
-    if p.ndim != 2:
-        raise InvalidJointError("mi_exact expects a 2-D joint")
-    outer = np.outer(p.sum(axis=1), p.sum(axis=0))
-    return _xlogratio(p, outer)
+    """I(A;B|C) = sum_c p(c) I(A;B | C=c), in nats, with C on the last axis.
 
-
-def cmi_exact(j: DiscreteJoint) -> float:
-    """I(A;B|C) for a 3-D table with the conditioning variable on the last axis."""
-    p = j.pmf
-    if p.ndim != 3:
-        raise InvalidJointError("cmi_exact expects a 3-D joint")
+    A 2-D joint is the one-condition case, I(A;B) = sum p(a,b) log [p(a,b) / (p(a)p(b))].
+    """
+    p = _by_condition(j.pmf)
     total = 0.0
     for c in range(p.shape[2]):
         pc = p[:, :, c].sum()
         if pc > 0:
-            total += pc * mi_exact(DiscreteJoint(p[:, :, c] / pc))
-    return total
+            s = p[:, :, c] / pc
+            total += pc * _xlogratio(s, np.outer(s.sum(axis=1), s.sum(axis=0)))
+    return float(total)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -172,33 +172,19 @@ class DiscriminatorBound:
 
     value: float  # payoff at the closed-form optimal table, plus the entropy constant
     optimal_table: np.ndarray
-    numeric_value: float  # payoff maximized by projected gradient ascent
+    numeric_value: float  # payoff maximized by ``_maximize_table``, plus the same constant
 
 
 def mi_via_discriminator(j: DiscreteJoint) -> DiscriminatorBound:
-    """I(A;B) through the optimal-discriminator identity.
+    """I(A;B|C) through the optimal-discriminator identity, per condition.
 
-    The optimal table is the posterior D*_a(b) = p(a|b); evaluating the payoff
-    there and adding H(A) recovers the mutual information exactly. A projected
-    gradient ascent over feasible tables independently verifies the maximum.
+    The optimal table is the posterior D*_a(b, c) = p(a|b, c); evaluating the
+    payoff there and adding H(A|C) recovers the conditional mutual information
+    exactly. Exponentiated-gradient ascent over feasible tables independently
+    verifies the maximum. A 2-D joint is the one-condition case, I(A;B), and
+    its optimal table comes back 2-D.
     """
-    p = j.pmf
-    if p.ndim != 2:
-        raise InvalidJointError("mi_via_discriminator expects a 2-D joint")
-    marg_a = p.sum(axis=1)
-    marg_b = p.sum(axis=0)
-    d_star = np.where(marg_b > 0, p / np.where(marg_b > 0, marg_b, 1.0), marg_a[:, None])
-    h_a = _entropy(marg_a)
-    value = _table_payoff(p, d_star) + h_a
-    numeric_payoff, _ = _maximize_table(p)
-    return DiscriminatorBound(value, d_star, numeric_payoff + h_a)
-
-
-def cmi_via_discriminator(j: DiscreteJoint) -> DiscriminatorBound:
-    """I(A;B|C) through per-condition optimal discriminator tables."""
-    p = j.pmf
-    if p.ndim != 3:
-        raise InvalidJointError("cmi_via_discriminator expects a 3-D joint")
+    p = _by_condition(j.pmf)
     n_a, n_b, n_c = p.shape
     marg_bc = p.sum(axis=0)  # (b, c)
     marg_c = p.sum(axis=(0, 1))
@@ -219,22 +205,15 @@ def cmi_via_discriminator(j: DiscreteJoint) -> DiscriminatorBound:
     )
     value = _table_payoff(p, d_star) + h_cond
     numeric_payoff, _ = _maximize_table(p.reshape(n_a, n_b * n_c))
-    return DiscriminatorBound(value, d_star, numeric_payoff + h_cond)
+    return DiscriminatorBound(value, d_star.reshape(j.pmf.shape), numeric_payoff + h_cond)
 
 
 def oracle_deviations(joints) -> tuple[float, float]:
-    """Worst closed-form and worst numeric deviation from the exact value.
-
-    Each 2-D joint is checked through ``mi_via_discriminator`` against
-    ``mi_exact``, each 3-D joint through ``cmi_via_discriminator`` against
-    ``cmi_exact``.
-    """
+    """Worst closed-form and worst numeric deviation of ``mi_via_discriminator``
+    from ``mi_exact`` over the joints."""
     worst_closed = worst_numeric = 0.0
     for joint in joints:
-        if joint.pmf.ndim == 2:
-            bound, exact = mi_via_discriminator(joint), mi_exact(joint)
-        else:
-            bound, exact = cmi_via_discriminator(joint), cmi_exact(joint)
+        bound, exact = mi_via_discriminator(joint), mi_exact(joint)
         worst_closed = max(worst_closed, abs(bound.value - exact))
         worst_numeric = max(worst_numeric, abs(bound.numeric_value - exact))
     return worst_closed, worst_numeric

@@ -86,14 +86,6 @@ def equalized_odds(predictions, z, labels, z_cardinality=None) -> dict[int, floa
     return out
 
 
-def equal_opportunity(predictions, z, labels, z_cardinality=None) -> float:
-    """Equalized odds restricted to the positive label."""
-    ratios = equalized_odds(predictions, z, labels, z_cardinality)
-    if 1 not in ratios:
-        raise UndefinedGroupError("positive-label stratum undefined")
-    return ratios[1]
-
-
 def accuracy(predictions, labels) -> float:
     predictions = _as_int_array(predictions)
     labels = _as_int_array(labels)

@@ -95,12 +95,6 @@ class Gradients:
     biases: list[np.ndarray]
     inputs: np.ndarray | None  # None when the input gradient was not asked for
 
-    def scaled(self, s: float) -> "Gradients":
-        return Gradients(
-            [s * w for w in self.weights], [s * b for b in self.biases],
-            None if self.inputs is None else s * self.inputs,
-        )
-
 
 def forward_with_cache(model: MLPModel, x: np.ndarray) -> ForwardCache:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -167,21 +161,17 @@ def weighted_cross_entropy(probs, labels, weights=None) -> float:
 
     The normalizer is the batch size m, not the weight total.
     """
-    p = clip_probs(np.asarray(probs, dtype=np.float64).reshape(-1))
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if len(p) != len(y):
-        raise ValueError("probs and labels must have equal length")
-    w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    per = -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
-    return float((w * per).mean())
+    return weighted_cross_entropy_grad(probs, labels, weights)[0]
 
 
 def weighted_cross_entropy_grad(probs, labels, weights=None) -> tuple[float, np.ndarray]:
-    """Loss value and dLoss/dProbs (a length-m vector)."""
+    """Loss value and dLoss/dProbs (a length-m vector); one label and weight per row."""
     p = clip_probs(np.asarray(probs, dtype=np.float64).reshape(-1))
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     m = len(p)
     w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
+    if len(y) != m or len(w) != m:
+        raise ValueError("probs, labels and weights must have equal length")
     value = float((w * (-y * np.log(p) - (1.0 - y) * np.log(1.0 - p))).mean())
     grad = w / m * (p - y) / (p * (1.0 - p))
     return value, grad
@@ -189,29 +179,25 @@ def weighted_cross_entropy_grad(probs, labels, weights=None) -> tuple[float, np.
 
 @dataclass
 class OptimizerState:
-    kind: str  # "sgd" | "adam"
+    """Adam's moment estimates for one model's parameters."""
+
     learning_rate: float
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list[np.ndarray] | None = None
-    v: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
 
-def init_optimizer(kind: str, learning_rate: float, model: MLPModel) -> OptimizerState:
-    state = OptimizerState(kind=kind, learning_rate=learning_rate)
-    if kind == "adam":
-        params = model.weights + model.biases
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    return state
+def init_optimizer(learning_rate: float, model: MLPModel) -> OptimizerState:
+    params = model.weights + model.biases
+    return OptimizerState(learning_rate, [np.zeros_like(p) for p in params],
+                          [np.zeros_like(p) for p in params])
 
 
 def _check_finite(grads: Gradients) -> None:
@@ -220,10 +206,11 @@ def _check_finite(grads: Gradients) -> None:
             raise TrainingDivergedError("non-finite gradient")
 
 
-def sgd_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
+def sgd_step(model: MLPModel, grads: Gradients, step: float) -> None:
+    """p -= step * g for every parameter; a negative step ascends."""
     _check_finite(grads)
     for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
-        p -= state.learning_rate * g
+        p -= step * g
 
 
 def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:

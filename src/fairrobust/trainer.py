@@ -20,8 +20,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .adversaries import (
-    FairnessAdversary,
-    RobustnessAdversary,
     fairness_objective,
     new_fairness_adversary,
     new_robustness_adversary,
@@ -203,29 +201,6 @@ def _fairness_strata(criterion: str, labels: np.ndarray) -> np.ndarray:
     return np.where(labels == 1, 0, -1)
 
 
-class _FairnessSide:
-    """Owns the fairness adversary heads, one per stratum, and their SGD states."""
-
-    def __init__(self, criterion: str, z_cardinality: int, lr: float, seed: int):
-        keys = (0, 1) if criterion == "EO" else (0,)
-        seq = np.random.SeedSequence(seed).spawn(len(keys))
-        self.heads = {}
-        self.optimizers = {}
-        for key, child in zip(keys, seq):
-            adv = new_fairness_adversary(z_cardinality, int(child.generate_state(1)[0]))
-            self.heads[key] = adv
-            self.optimizers[key] = init_optimizer("sgd", lr, adv.model)
-
-    def ascend(self, yhat, z, strata, weights) -> None:
-        ev = fairness_objective(self.heads, yhat, z, strata, weights, prediction_grad=False)
-        for key, grads in ev.head_grads.items():
-            sgd_step(self.heads[key].model, grads.scaled(-1.0), self.optimizers[key])
-
-    def evaluate(self, yhat, z, strata, weights):
-        ev = fairness_objective(self.heads, yhat, z, strata, weights)
-        return ev.value, ev.prediction_grad
-
-
 def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
                       ) -> tuple[MLPModel, TrainHistory]:
     """Run the full alternating loop and return the final generator and history.
@@ -257,18 +232,19 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     lam0 = 1.0 - cfg.lambda1 - cfg.lambda2
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
     gen = init_model(MLPSpec(input_dim=x.shape[1]), seeds[0])
-    opt_gen = init_optimizer("adam", cfg.generator_lr, gen)
+    opt_gen = init_optimizer(cfg.generator_lr, gen)
 
-    fairness = None
+    heads = {}  # fairness adversary head per stratum
     if cfg.lambda1 > 0:
-        fairness = _FairnessSide(cfg.fairness_criterion, train.z_cardinality,
-                                 cfg.disc_lr, seeds[1])
-    robustness = None
-    opt_rob = rob_rows = None
+        keys = (0, 1) if cfg.fairness_criterion == "EO" else (0,)
+        children = np.random.SeedSequence(seeds[1]).spawn(len(keys))
+        heads = {key: new_fairness_adversary(train.z_cardinality,
+                                             int(child.generate_state(1)[0]))
+                 for key, child in zip(keys, children)}
+    robustness = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
                                               ROBUST_HIDDEN, seeds[2])
-        opt_rob = init_optimizer("sgd", cfg.disc_lr, robustness.model)
         rob_rows = robustness_rows(robustness, train.features, z,
                                    val.features, val.sensitive, val.labels)
 
@@ -299,11 +275,13 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         cache = forward_with_cache(gen, x)
         yhat = cache.output.ravel()
         for _ in range(cfg.update_ratio):
-            if fairness is not None and fairness_released:
-                fairness.ascend(yhat, z, strata, weights)
+            if heads and fairness_released:
+                ev = fairness_objective(heads, yhat, z, strata, weights, prediction_grad=False)
+                for key, grads in ev.head_grads.items():
+                    sgd_step(heads[key].model, grads, -cfg.disc_lr)
             if robustness is not None:
                 rv = robustness_objective(robustness, rob_rows, yhat)
-                sgd_step(robustness.model, rv.adversary_grads().scaled(-1.0), opt_rob)
+                sgd_step(robustness.model, rv.adversary_grads(), -cfg.disc_lr)
 
         l_c = l_d = r_gate = float("nan")
         rv = None
@@ -324,9 +302,10 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         l1, d_l1 = weighted_cross_entropy_grad(yhat, y, weights)
         d_total = lam0 * d_l1
         l2 = 0.0
-        if fairness is not None:
-            l2, fair_grad = fairness.evaluate(yhat, z, strata, weights)
-            d_total = d_total + cfg.lambda1 * fair_grad
+        if heads:
+            ev = fairness_objective(heads, yhat, z, strata, weights)
+            l2 = ev.value
+            d_total = d_total + cfg.lambda1 * ev.prediction_grad
         l3 = rv.value if rv is not None else 0.0
         if rv is not None:
             d_total = d_total + cfg.lambda2 * rv.prediction_grad

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from fairrobust.adversaries import (
     DiscreteJoint,
     InvalidJointError,
-    cmi_exact,
-    cmi_via_discriminator,
     fairness_objective,
     mi_exact,
     mi_via_discriminator,
@@ -82,11 +80,13 @@ def test_discriminator_identity_joint():
     assert bound.numeric_value == pytest.approx(math.log(2), abs=1e-3)
 
 
-def test_discriminator_equivalence_random_joints():
-    rng = np.random.default_rng(42)
-    closed, numeric = oracle_deviations(
-        _random_joint(rng, (int(rng.integers(2, 5)), int(rng.integers(2, 5))))
-        for _ in range(25))
+@pytest.mark.parametrize("seed, shapes", [
+    (42, lambda rng: ((int(rng.integers(2, 5)), int(rng.integers(2, 5))) for _ in range(25))),
+    (7, lambda rng: [(2, 2, 2), (3, 2, 2)] * 10),
+], ids=["plain", "conditional"])
+def test_discriminator_equivalence_random_joints(seed, shapes):
+    rng = np.random.default_rng(seed)
+    closed, numeric = oracle_deviations(_random_joint(rng, shape) for shape in shapes(rng))
     assert closed < 1e-6
     assert numeric < 1e-3
 
@@ -105,8 +105,8 @@ def test_cmi_conditionally_independent():
     slices = [np.outer([0.2, 0.8], [0.5, 0.5]), np.outer([0.7, 0.3], [0.1, 0.9])]
     pmf = np.stack([0.4 * slices[0], 0.6 * slices[1]], axis=2)
     j = DiscreteJoint(pmf)
-    assert cmi_exact(j) == pytest.approx(0.0, abs=1e-15)
-    assert cmi_via_discriminator(j).value == pytest.approx(0.0, abs=1e-12)
+    assert mi_exact(j) == pytest.approx(0.0, abs=1e-15)
+    assert mi_via_discriminator(j).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cmi_degenerate_condition_matches_slice_mi():
@@ -116,17 +116,11 @@ def test_cmi_degenerate_condition_matches_slice_mi():
     pmf = np.zeros((2, 3, 2))
     pmf[:, :, 0] = base
     j = DiscreteJoint(pmf)
+    plain = mi_via_discriminator(DiscreteJoint(base))
     expected = mi_exact(DiscreteJoint(base))
-    assert cmi_exact(j) == pytest.approx(expected)
-    assert cmi_via_discriminator(j).value == pytest.approx(expected, abs=1e-12)
-
-
-def test_cmi_discriminator_equivalence_random_joints():
-    rng = np.random.default_rng(7)
-    closed, numeric = oracle_deviations(
-        _random_joint(rng, shape) for shape in [(2, 2, 2), (3, 2, 2)] * 10)
-    assert closed < 1e-6
-    assert numeric < 1e-3
+    assert plain.optimal_table.shape == base.shape
+    assert mi_exact(j) == pytest.approx(expected)
+    assert mi_via_discriminator(j).value == pytest.approx(expected, abs=1e-12)
 
 
 def _uniform_adversary(z_cardinality):
@@ -238,7 +232,7 @@ def test_fairness_eo_fixture_matches_conditional_mi():
                 payoff = sum(math.log(table[zz, c]) for c, zz in rows) / m
                 best = max(best, payoff)
         best_total += best + len(rows) / m * empirical_entropy([zz for _, zz in rows])  # H(Z | Y)
-    assert best_total == pytest.approx(cmi_exact(joint), abs=1e-3)
+    assert best_total == pytest.approx(mi_exact(joint), abs=1e-3)
 
 
 def test_robustness_uniform_adversary_is_zero():

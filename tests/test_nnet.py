@@ -98,6 +98,15 @@ def test_wce_hand_computed_batch():
     assert value == pytest.approx(0.27582, abs=1e-5)
 
 
+@pytest.mark.parametrize("labels, weights", [([1], None), ([1, 0], None),
+                                             ([1, 0, 1], [1.0]), ([1, 0, 1], [1.0, 2.0])])
+def test_wce_rejects_labels_or_weights_of_another_length(labels, weights):
+    # One label or weight must not broadcast over every row.
+    for loss in (weighted_cross_entropy, weighted_cross_entropy_grad):
+        with pytest.raises(ValueError, match="equal length"):
+            loss([0.2, 0.7, 0.9], labels, weights)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.01, 0.99), st.integers(0, 1),
                           st.floats(0.0, 3.0)), min_size=1, max_size=30),
@@ -120,13 +129,13 @@ def test_zero_upstream_gradient_gives_zero_grads_and_sgd_identity():
     grads = backward(model, cache, np.zeros_like(cache.output))
     assert all(np.all(g == 0) for g in grads.weights + grads.biases)
     before = get_flat_params(model).copy()
-    sgd_step(model, grads, init_optimizer("sgd", 0.1, model))
+    sgd_step(model, grads, 0.1)
     assert np.array_equal(get_flat_params(model), before)
 
 
 def test_adam_zero_gradient_noop():
     model = init_model(MLPSpec(input_dim=2, hidden_dim=0, output_dim=1), seed=4)
-    state = init_optimizer("adam", 0.1, model)
+    state = init_optimizer(0.1, model)
     before = get_flat_params(model).copy()
     zero = Gradients([np.zeros_like(w) for w in model.weights],
                      [np.zeros_like(b) for b in model.biases], np.zeros((1, 2)))
@@ -139,12 +148,12 @@ def test_nonfinite_gradient_raises():
     bad = Gradients([np.full_like(model.weights[0], np.inf)],
                     [np.zeros_like(model.biases[0])], np.zeros((1, 2)))
     with pytest.raises(TrainingDivergedError):
-        sgd_step(model, bad, init_optimizer("sgd", 0.1, model))
+        sgd_step(model, bad, 0.1)
 
 
 def test_adam_step_matches_hand_update():
     model = _zeroed(MLPSpec(input_dim=1, hidden_dim=0, output_dim=1))
-    state = init_optimizer("adam", 0.1, model)
+    state = init_optimizer(0.1, model)
     g = Gradients([np.array([[2.0]])], [np.array([0.0])], np.zeros((1, 1)))
     adam_step(model, g, state)
     # t=1: m_hat = 2, v_hat = 4 -> step = lr * 2 / (2 + eps) ~ lr
