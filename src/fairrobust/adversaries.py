@@ -31,7 +31,9 @@ analytic, from the forward pass) and the per-row slot scores; the two backward
 passes for the adversary's weight and bias gradients run only with
 ``param_grads=True``, the default, which an ascent step needs and the
 generator's evaluation does not. The robustness adversary's input rows do not
-depend on the predictions, so ``robustness_rows`` builds them once per run.
+depend on the predictions, so ``robustness_rows`` builds them once per run,
+together with the forward caches whose hidden-layer buffers every evaluation
+of that run reuses.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 
 from .metrics import empirical_entropy
 from .nnet import (
+    ForwardCache,
     Gradients,
     MLPModel,
     MLPSpec,
@@ -279,15 +282,20 @@ def robustness_inputs(features, z, label_slot, z_cardinality: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class RobustnessRows:
-    """The robustness adversary's input rows, which do not depend on predictions.
+    """The robustness adversary's input rows, which do not depend on predictions,
+    held in the forward caches that every evaluation writes into.
 
-    ``train`` holds (x_i, onehot z_i, 1) for every training row, followed by
+    ``train.x`` holds (x_i, onehot z_i, 1) for every training row, followed by
     (x_i, onehot z_i, 0) for every training row, so one forward pass scores
-    both label slots; ``val`` holds (x_j, onehot z_j, y_j).
+    both label slots; ``val.x`` holds (x_j, onehot z_j, y_j). Each
+    ``robustness_objective`` call computes its two forward passes, and its two
+    backward passes if any, in the hidden-layer buffers of ``train`` and
+    ``val``, so a run allocates them once; nothing that the call returns
+    shares memory with them.
     """
 
-    train: np.ndarray
-    val: np.ndarray
+    train: ForwardCache
+    val: ForwardCache
 
 
 def robustness_rows(adv: RobustnessAdversary, train_features, train_z, val_features,
@@ -302,7 +310,8 @@ def robustness_rows(adv: RobustnessAdversary, train_features, train_z, val_featu
         raise ValueError("training set must be nonempty")
     x_neg = x_pos.copy()
     x_neg[:, -1] = 0.0
-    return RobustnessRows(np.vstack([x_pos, x_neg]), x_va)
+    return RobustnessRows(forward_with_cache(adv.model, np.vstack([x_pos, x_neg])),
+                          forward_with_cache(adv.model, x_va))
 
 
 @dataclass
@@ -409,11 +418,11 @@ def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_p
     computed only when ``param_grads`` is set.
     """
     yhat = np.asarray(train_predictions, dtype=np.float64).reshape(-1)
-    m_tr, m_va = len(yhat), len(rows.val)
-    if len(rows.train) != 2 * m_tr:
-        raise ValueError(f"{m_tr} predictions for {len(rows.train) // 2} training rows")
-    cache_tr = forward_with_cache(adv.model, rows.train)
-    cache_va = forward_with_cache(adv.model, rows.val)
+    m_tr, m_va = len(yhat), len(rows.val.x)
+    if len(rows.train.x) != 2 * m_tr:
+        raise ValueError(f"{m_tr} predictions for {len(rows.train.x) // 2} training rows")
+    cache_tr = forward_with_cache(adv.model, rows.train.x, rows.train)
+    cache_va = forward_with_cache(adv.model, rows.val.x, rows.val)
     d_tr = cache_tr.output.ravel()
     d_pos, d_neg = d_tr[:m_tr], d_tr[m_tr:]
     d_va = cache_va.output.ravel()

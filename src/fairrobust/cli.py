@@ -24,7 +24,6 @@ from .dataset import (
     load_crowd_csv,
     load_csv,
     save_csv,
-    split,
 )
 from .harness import ExperimentSpec, run_experiment
 from .nnet import load_model, save_model

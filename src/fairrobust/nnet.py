@@ -3,13 +3,24 @@
 Everything is float64 numpy and fully deterministic given a seed. Models are
 small (a handful of units), so all passes are full matrix ops with no batching
 machinery beyond what the caller supplies.
+
+Buffers: a forward pass computes the hidden layer in place in one (n, hidden)
+array, and ``backward`` computes dLoss/dHidden and then dLoss/dPre-activation
+in place in a second one; both live on the ``ForwardCache``. A caller that
+runs many passes over the same rows hands its earlier cache back to
+``forward_with_cache``, which then writes into those two buffers instead of
+allocating new ones. At a few thousand rows each buffer is larger than the C
+allocator's mmap threshold, so a fresh one per pass is mapped, faulted in page
+by page and unmapped again. Softmax rows are reduced column by column into one
+(n,) accumulator, which for fewer than 8 columns adds in the same order as
+numpy's row reduction and so gives the same bits, at a fraction of its cost.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -74,17 +85,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
+def _row_reduce(ufunc, a: np.ndarray, initial: float) -> np.ndarray:
+    """``ufunc`` folded over the columns of ``a``, left to right, starting from ``initial``.
+
+    numpy reduces a row shorter than 8 entries in this same order (a sum
+    starts from +0.0), so for up to 7 columns the result has the bits of
+    ``ufunc.reduce(a, axis=1)``.
+    """
+    acc = np.full(len(a), initial)
+    for j in range(a.shape[1]):
+        ufunc(acc, a[:, j], out=acc)
+    return acc
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - _row_reduce(np.maximum, x, -np.inf)[:, None]
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_reduce(np.add, e, 0.0)[:, None]
 
 
 @dataclass
 class ForwardCache:
+    """What ``backward`` needs from one forward pass.
+
+    ``hidden`` (the activations) and ``work`` (backward's dLoss/dHidden, then
+    dLoss/dPre-activation) are (n, hidden_dim) buffers, None for a linear
+    model. A forward pass that reuses this cache overwrites both.
+    """
+
     x: np.ndarray
-    pre_hidden: np.ndarray | None
     hidden: np.ndarray | None
+    work: np.ndarray | None
     raw_output: np.ndarray  # pre-clamp activations (probabilities)
     output: np.ndarray
 
@@ -96,17 +127,30 @@ class Gradients:
     inputs: np.ndarray | None  # None when the input gradient was not asked for
 
 
-def forward_with_cache(model: MLPModel, x: np.ndarray) -> ForwardCache:
+def forward_with_cache(model: MLPModel, x: np.ndarray,
+                       reuse: ForwardCache | None = None) -> ForwardCache:
+    """One forward pass, keeping what ``backward`` needs.
+
+    With ``reuse``, an earlier cache of this model over as many rows, the
+    hidden layer is computed in that cache's buffers, which the returned cache
+    shares; ``reuse`` must not go to ``backward`` afterwards.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     spec = model.spec
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"input dim {x.shape[1]} != expected {spec.input_dim}")
     if spec.hidden_dim == 0:
-        pre_hidden = hidden = None
+        hidden = work = None
         logits = x @ model.weights[0] + model.biases[0]
     else:
-        pre_hidden = x @ model.weights[0] + model.biases[0]
-        hidden = np.maximum(pre_hidden, 0.0) if spec.hidden_activation == "relu" else np.tanh(pre_hidden)
+        shape = (len(x), spec.hidden_dim)
+        hidden, work = (np.empty(shape), np.empty(shape)) if reuse is None else (reuse.hidden, reuse.work)
+        np.matmul(x, model.weights[0], out=hidden)
+        hidden += model.biases[0]
+        if spec.hidden_activation == "relu":
+            np.maximum(hidden, 0.0, out=hidden)
+        else:
+            np.tanh(hidden, out=hidden)
         logits = hidden @ model.weights[1] + model.biases[1]
     if spec.output_activation == "sigmoid":
         raw = _sigmoid(logits)
@@ -114,7 +158,7 @@ def forward_with_cache(model: MLPModel, x: np.ndarray) -> ForwardCache:
     else:
         raw = _softmax(logits)
         out = raw
-    return ForwardCache(x=x, pre_hidden=pre_hidden, hidden=hidden, raw_output=raw, output=out)
+    return ForwardCache(x=x, hidden=hidden, work=work, raw_output=raw, output=out)
 
 
 def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -127,7 +171,9 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
     """Exact reverse-mode gradients given dLoss/dOutput.
 
     dLoss/dInput is returned as ``inputs`` when ``input_grad`` is set, and left
-    as None otherwise; the parameter gradients are the same either way.
+    as None otherwise; the parameter gradients are the same either way. The
+    hidden-layer gradient is computed in ``cache.work``; every returned array
+    is new.
     """
     spec = model.spec
     d_output = np.asarray(d_output, dtype=np.float64)
@@ -137,7 +183,7 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
     if spec.output_activation == "sigmoid":
         d_logits = d_output * p * (1.0 - p)
     else:
-        d_logits = p * (d_output - (d_output * p).sum(axis=1, keepdims=True))
+        d_logits = p * (d_output - _row_reduce(np.add, d_output * p, 0.0)[:, None])
     if spec.hidden_dim == 0:
         d_w = cache.x.T @ d_logits
         d_b = d_logits.sum(axis=0)
@@ -145,11 +191,11 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
         return Gradients([d_w], [d_b], d_x)
     d_w2 = cache.hidden.T @ d_logits
     d_b2 = d_logits.sum(axis=0)
-    d_hidden = d_logits @ model.weights[1].T
+    d_pre = np.matmul(d_logits, model.weights[1].T, out=cache.work)  # dLoss/dHidden, then in place:
     if spec.hidden_activation == "relu":
-        d_pre = d_hidden * (cache.pre_hidden > 0)
+        d_pre *= cache.hidden > 0  # the same mask as pre-activation > 0, NaN included
     else:
-        d_pre = d_hidden * (1.0 - cache.hidden**2)
+        d_pre *= 1.0 - cache.hidden**2
     d_w1 = cache.x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
     d_x = d_pre @ model.weights[0].T if input_grad else None

@@ -29,7 +29,6 @@ from fairrobust.dataset import Dataset, load_csv, save_csv, split
 from fairrobust.harness import ExperimentSpec, error_range, run_experiment
 from fairrobust.metrics import accuracy, disparate_impact
 from fairrobust.nnet import (
-    MLPModel,
     MLPSpec,
     backward,
     forward,

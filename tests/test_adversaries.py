@@ -1,4 +1,4 @@
-import itertools
+import copy
 import math
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairrobust import adversaries
 from fairrobust.adversaries import (
     DiscreteJoint,
     InvalidJointError,
@@ -20,7 +21,7 @@ from fairrobust.adversaries import (
     robustness_rows,
 )
 from fairrobust.metrics import empirical_entropy
-from fairrobust.nnet import backward, forward, forward_with_cache
+from fairrobust.nnet import backward, forward, forward_with_cache, sgd_step
 from gradcheck import (
     flatten_grads,
     get_flat_params,
@@ -372,6 +373,41 @@ def test_hoisted_robustness_paths_equal_reference_bit_for_bit():
         assert getattr(evaluation, key) is None
     with pytest.raises(ValueError, match="param_grads"):
         evaluation.adversary_grads()
+
+
+def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(monkeypatch):
+    rng = np.random.default_rng(27)
+    adv = new_robustness_adversary(2, 2, 8, seed=28)
+    x_tr, z_tr = rng.normal(size=(50, 2)), rng.integers(0, 2, 50)
+    rows = robustness_rows(adv, x_tr, z_tr, rng.normal(size=(10, 2)), rng.integers(0, 2, 10),
+                           rng.integers(0, 2, 10))
+    yhat = rng.uniform(0.05, 0.95, 50)
+    caches = []
+
+    def recording_forward(model, x, reuse=None):
+        caches.append(forward_with_cache(model, x, reuse))
+        return caches[-1]
+
+    monkeypatch.setattr(adversaries, "forward_with_cache", recording_forward)
+    first = robustness_objective(adv, rows, yhat)
+    kept = copy.deepcopy(first)
+    sgd_step(adv.model, first.adversary_grads(), -0.5)
+    later = robustness_objective(adv, rows, rng.uniform(0.05, 0.95, 50))
+
+    assert len(caches) == 4  # a training and a validation pass per call
+    for call, rows_cache in ((caches[0::2], rows.train), (caches[1::2], rows.val)):
+        for cache in call:
+            assert np.shares_memory(cache.hidden, rows_cache.hidden)
+            assert np.shares_memory(cache.work, rows_cache.work)
+    assert later.value != first.value
+
+    def arrays(ev):
+        return ev.weight_grads + ev.bias_grads + [ev.prediction_grad, ev.slot_scores]
+
+    buffers = (rows.train.hidden, rows.train.work, rows.val.hidden, rows.val.work)
+    for got, want in zip(arrays(first), arrays(kept), strict=True):
+        assert np.array_equal(got, want)
+        assert not any(np.shares_memory(got, buffer) for buffer in buffers)
 
 
 def test_robustness_rows_reject_a_prediction_count_mismatch():

@@ -10,7 +10,9 @@ from fairrobust.nnet import (
     MLPModel,
     MLPSpec,
     TrainingDivergedError,
+    _row_reduce,
     _sigmoid,
+    _softmax,
     adam_step,
     backward,
     forward,
@@ -199,6 +201,65 @@ def test_input_gradient_matches_finite_differences():
     grads = backward(model, cache, np.ones_like(cache.output))
     numeric = numeric_gradient(f, x0.ravel())
     assert np.allclose(grads.inputs.ravel(), numeric, atol=1e-6)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_hidden_layer_gradients_through_a_reused_cache_match_finite_differences(activation):
+    # The activation and the hidden-layer gradient are computed in place, in
+    # buffers that an earlier pass over other rows already filled.
+    rng = np.random.default_rng(14)
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=5, output_dim=1,
+                               hidden_activation=activation), seed=15)
+    x = rng.normal(size=(9, 3))
+    y, w = rng.integers(0, 2, 9), rng.uniform(0.2, 2.0, 9)
+    stale = forward_with_cache(model, rng.normal(size=(9, 3)))
+    backward(model, stale, np.ones_like(stale.output))
+    cache = forward_with_cache(model, x, stale)
+    assert cache.hidden is stale.hidden and cache.work is stale.work
+    _, d_p = weighted_cross_entropy_grad(cache.output.ravel(), y, w)
+    grads = backward(model, cache, d_p[:, None])
+    numeric = numeric_gradient(_loss_through_params(model, x, y, w), get_flat_params(model))
+    assert np.abs(flatten_grads(grads) - numeric).max() < 1e-7
+
+    def loss_through_inputs(flat):
+        return weighted_cross_entropy(forward(model, flat.reshape(x.shape)).ravel(), y, w)
+
+    numeric_x = numeric_gradient(loss_through_inputs, x.ravel())
+    assert np.abs(grads.inputs.ravel() - numeric_x).max() < 1e-7
+
+
+def _bits_equal(a, b):
+    """Equal values, NaN included, and equal signs of zero."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_softmax_column_reductions_equal_row_reductions_bit_for_bit(k):
+    rng = np.random.default_rng(100 + k)
+    n = 400
+    x = rng.normal(scale=rng.choice([1.0, 30.0, 300.0], size=(n, 1)), size=(n, k))
+    d = rng.normal(scale=rng.choice([1e-10, 1.0, 1e10], size=(n, 1)), size=(n, k))
+    for a, value in ((x, -0.0), (x, 0.0), (x, 700.0), (x, -700.0), (d, -0.0), (d, 0.0)):
+        a[rng.random(a.shape) < 0.1] = value
+    x[:20], d[:20] = -0.0, -0.0  # rows of negative zeros only
+    for a in (x, d, d * _softmax(x)):
+        assert _bits_equal(_row_reduce(np.maximum, a, -np.inf), a.max(axis=1))
+        assert _bits_equal(_row_reduce(np.add, a, 0.0), a.sum(axis=1))
+
+    shifted = x - x.max(axis=1, keepdims=True)
+    p_old = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    assert _bits_equal(_softmax(x), p_old)
+
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=0, output_dim=k,
+                               output_activation="softmax"), seed=k)
+    cache = forward_with_cache(model, rng.normal(size=(n, 3)))
+    cache.raw_output = cache.output = p_old
+    d_logits = p_old * (d - (d * p_old).sum(axis=1, keepdims=True))
+    grads = backward(model, cache, d)
+    assert _bits_equal(grads.weights[0], cache.x.T @ d_logits)
+    assert _bits_equal(grads.biases[0], d_logits.sum(axis=0))
+    assert _bits_equal(grads.inputs, d_logits @ model.weights[0].T)
 
 
 def _masked_sigmoid(x):

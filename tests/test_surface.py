@@ -1,4 +1,5 @@
-"""Surface guard: every top-level function and class in ``src/fairrobust`` is used.
+"""Surface guards: every top-level function and class in ``src/fairrobust`` is
+used, and every imported name is loaded by the file that imports it.
 
 A name counts as used when ``src/``, ``scripts/`` or ``perfbench/`` refers to
 it outside its own definition: a load of the bare name, ``module.name`` on a
@@ -7,6 +8,11 @@ which wraps functions by name) a string constant that names it. A field or
 attribute that merely shares the name does not count. Re-exports in
 ``__init__.py`` do not count, and neither do tests: helpers only tests call
 live in ``tests/``.
+
+The import guard reads every file under ``src/``, ``scripts/`` and ``tests/``
+except the package's ``__init__.py``, whose imports are its re-exports. A
+name that an import binds counts as used when the file loads it somewhere
+(``import a.b`` binds ``a``); ``from __future__`` imports bind nothing.
 """
 
 import ast
@@ -55,4 +61,22 @@ def test_every_top_level_name_is_used_outside_its_definition():
               for node in TREES[path].body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not _is_used(node)]
+    assert unused == []
+
+
+def test_every_imported_name_is_loaded():
+    unused = []
+    for folder in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path == PACKAGE / "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loaded = {n.id for n in ast.walk(tree)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    unused += [f"{path.relative_to(ROOT)}: {alias.name}" for alias in node.names
+                               if (alias.asname or alias.name.split(".")[0]) not in loaded]
     assert unused == []

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import math
 from dataclasses import replace
 
 import numpy as np
