@@ -26,6 +26,10 @@ Two kinds of machinery live here:
 What an evaluation computes, and when: the fairness payoff always computes
 its value and the heads' gradients, and the prediction gradient unless
 ``prediction_grad=False`` (an ascent step reads only the head gradients). The
+strata and group codes do not depend on the predictions, so ``fairness_rows``
+builds once per run what every fairness evaluation reads: each stratum's row
+indices and group codes, the number of kept rows and H(Z | S); an evaluation
+gathers the rows and runs each head's forward and backward pass. The
 robustness payoff always computes its value, the prediction gradient (which is
 analytic, from the forward pass) and the per-row slot scores; the two backward
 passes for the adversary's weight and bias gradients run only with
@@ -223,20 +227,6 @@ def oracle_deviations(joints) -> tuple[float, float]:
 
 
 @dataclass
-class FairnessAdversary:
-    """Predicts the sensitive group from the classifier's output probability.
-
-    The softmax head enforces the simplex constraint structurally.
-    """
-
-    model: MLPModel
-
-    def __post_init__(self):
-        if self.model.spec.output_activation != "softmax":
-            raise ValueError("fairness adversary requires a softmax output")
-
-
-@dataclass
 class RobustnessAdversary:
     """Scores (features, one-hot group, label) rows as validation-like."""
 
@@ -251,11 +241,12 @@ class RobustnessAdversary:
             raise ValueError("input dim too small for features + one-hot z + label slot")
 
 
-def new_fairness_adversary(z_cardinality: int, seed: int) -> FairnessAdversary:
-    """Single-layer softmax head on the scalar prediction."""
+def new_fairness_adversary(z_cardinality: int, seed: int) -> MLPModel:
+    """Single-layer softmax head that predicts the sensitive group from the
+    scalar prediction; the softmax keeps its output on the simplex."""
     spec = MLPSpec(input_dim=1, hidden_dim=0, output_dim=z_cardinality,
                    output_activation="softmax")
-    return FairnessAdversary(init_model(spec, seed))
+    return init_model(spec, seed)
 
 
 def new_robustness_adversary(feature_dim: int, z_cardinality: int, hidden_dim: int,
@@ -314,6 +305,53 @@ def robustness_rows(adv: RobustnessAdversary, train_features, train_z, val_featu
                           forward_with_cache(adv.model, x_va))
 
 
+@dataclass(frozen=True)
+class FairnessStratum:
+    """The kept rows of one stratum of the fairness payoff."""
+
+    key: int  # the stratum, which names the adversary head that scores it
+    rows: np.ndarray  # indices of its rows among all rows
+    z: np.ndarray  # their group codes
+    positions: np.ndarray  # arange(len(rows)), the row index into the head's output
+    max_code: int  # the largest of ``z``
+
+
+@dataclass(frozen=True)
+class FairnessRows:
+    """The fairness payoff's constants for one run: the kept strata in
+    increasing order, the number m of kept rows, H(Z | S) over the kept rows,
+    and the number of rows, kept or not."""
+
+    strata: tuple[FairnessStratum, ...]
+    m: int
+    entropy: float
+    n: int
+
+
+def fairness_rows(z, strata) -> FairnessRows:
+    """Build the constant part of ``fairness_objective`` for one run.
+
+    Rows with a negative stratum are left out. Group codes must be
+    nonnegative, and ``z`` and ``strata`` nonempty and of one length.
+    """
+    z = np.asarray(z, dtype=np.int64).reshape(-1)
+    strata = np.asarray(strata, dtype=np.int64).reshape(-1)
+    if len(z) == 0 or len(strata) != len(z):
+        raise ValueError(f"z and strata must be nonempty and of one length, got {len(z)} "
+                         f"and {len(strata)}")
+    if z.min() < 0:
+        raise ValueError(f"group codes must be nonnegative, got {z.min()}")
+    kept = strata >= 0
+    m = int(kept.sum())
+    entropy, parts = 0.0, []
+    for key in np.flatnonzero(np.bincount(strata[kept])).tolist():
+        rows = np.flatnonzero(strata == key)
+        zs = z[rows]
+        entropy += len(zs) / m * empirical_entropy(zs)
+        parts.append(FairnessStratum(key, rows, zs, np.arange(len(zs)), int(zs.max())))
+    return FairnessRows(tuple(parts), m, entropy, len(z))
+
+
 @dataclass
 class FairnessEval:
     value: float
@@ -347,51 +385,46 @@ class RobustnessEval:
         return self.slot_scores[np.arange(len(labels)), labels]
 
 
-def fairness_objective(heads: dict[int, FairnessAdversary], predictions, z, strata,
+def fairness_objective(heads: dict[int, MLPModel], rows: FairnessRows, predictions,
                        weights=None, prediction_grad: bool = True) -> FairnessEval:
     """Stratified fairness payoff (1/m) sum_i w_i log D^{s_i}_{z_i}(yhat_i) + H(Z | S).
 
-    Row i is scored by the head of its stratum s_i. Rows with s_i < 0 are left
-    out, and m counts the kept rows; H(Z | S) is the empirical conditional
-    group entropy of the kept rows, a constant with no gradient. At the heads'
-    optimum the payoff estimates I(Z; Yhat | S); driving it to zero makes
-    predictions carry no group information within any stratum. With no row
-    kept the payoff is 0 and no head gets gradients. The prediction gradient
-    is computed only when ``prediction_grad`` is set.
+    Row i is scored by the head of its stratum s_i. ``rows`` comes from
+    ``fairness_rows``, which leaves out the rows with s_i < 0 and holds the
+    kept rows of each stratum, their group codes, their count m and the
+    empirical conditional group entropy H(Z | S), a constant with no
+    gradient. ``predictions`` and ``weights`` hold one value per row of the
+    plan. At the heads' optimum the payoff estimates I(Z; Yhat | S); driving
+    it to zero makes predictions carry no group information within any
+    stratum. With no row kept the payoff is 0 and no head gets gradients. The
+    prediction gradient is computed only when ``prediction_grad`` is set.
     """
     predictions = np.asarray(predictions, dtype=np.float64).reshape(-1)
-    z = np.asarray(z, dtype=np.int64).reshape(-1)
-    strata = np.asarray(strata, dtype=np.int64).reshape(-1)
-    n = len(predictions)
-    if n == 0 or len(z) != n or len(strata) != n:
-        raise ValueError("predictions, z, strata must be nonempty and equal length")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    pred_grad = np.zeros(n) if prediction_grad else None
+    w = np.ones(rows.n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
+    if len(predictions) != rows.n or len(w) != rows.n:
+        raise ValueError(f"{len(predictions)} predictions and {len(w)} weights "
+                         f"for {rows.n} rows")
+    pred_grad = np.zeros(rows.n) if prediction_grad else None
     head_grads: dict[int, Gradients] = {}
-    kept = strata >= 0
-    m = int(kept.sum())
-    entropy, payoffs = 0.0, []
-    for sv in np.flatnonzero(np.bincount(strata[kept])).tolist():
-        if sv not in heads:
-            raise ValueError(f"no adversary head for stratum {sv}")
-        model = heads[sv].model
-        mask = strata == sv
-        zs, ws = z[mask], w[mask]
-        if model.spec.output_dim <= zs.max():
+    payoffs = []
+    for stratum in rows.strata:
+        if stratum.key not in heads:
+            raise ValueError(f"no adversary head for stratum {stratum.key}")
+        model = heads[stratum.key]
+        if model.spec.output_dim <= stratum.max_code:
             raise ValueError("adversary output dim smaller than number of groups")
-        cache = forward_with_cache(model, predictions[mask][:, None])
+        ws = w[stratum.rows]
+        cache = forward_with_cache(model, predictions[stratum.rows][:, None])
         probs = cache.output
-        rows = np.arange(len(zs))
-        picked = np.clip(probs[rows, zs], LOG_EPS, None)
-        entropy += len(zs) / m * empirical_entropy(zs)
-        payoffs.append(float((ws * np.log(picked)).sum() / m))
+        picked = np.clip(probs[stratum.positions, stratum.z], LOG_EPS, None)
+        payoffs.append(float((ws * np.log(picked)).sum() / rows.m))
         d_probs = np.zeros_like(probs)
-        d_probs[rows, zs] = ws / (m * picked)
+        d_probs[stratum.positions, stratum.z] = ws / (rows.m * picked)
         grads = backward(model, cache, d_probs, input_grad=prediction_grad)
-        head_grads[sv] = grads
+        head_grads[stratum.key] = grads
         if prediction_grad:
-            pred_grad[mask] = grads.inputs[:, 0]
-    value = entropy  # float addition does not associate: this order is part of the result
+            pred_grad[stratum.rows] = grads.inputs[:, 0]
+    value = rows.entropy  # float addition does not associate: this order is part of the result
     for payoff in payoffs:
         value += payoff
     return FairnessEval(value, head_grads, pred_grad)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .adversaries import (
     fairness_objective,
+    fairness_rows,
     new_fairness_adversary,
     new_robustness_adversary,
     robustness_objective,
@@ -227,7 +228,6 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
                 f"{train.z_cardinality}")
 
     z, y, w0 = train.sensitive, train.labels, train.weights
-    strata = _fairness_strata(cfg.fairness_criterion, y)
     x = _augment(train.features, z, train.z_cardinality)
     lam0 = 1.0 - cfg.lambda1 - cfg.lambda2
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
@@ -235,12 +235,14 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     opt_gen = init_optimizer(cfg.generator_lr, gen)
 
     heads = {}  # fairness adversary head per stratum
+    fair_rows = None
     if cfg.lambda1 > 0:
         keys = (0, 1) if cfg.fairness_criterion == "EO" else (0,)
         children = np.random.SeedSequence(seeds[1]).spawn(len(keys))
         heads = {key: new_fairness_adversary(train.z_cardinality,
                                              int(child.generate_state(1)[0]))
                  for key, child in zip(keys, children)}
+        fair_rows = fairness_rows(z, _fairness_strata(cfg.fairness_criterion, y))
     robustness = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
@@ -276,9 +278,9 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         yhat = cache.output.ravel()
         for _ in range(cfg.update_ratio):
             if heads and fairness_released:
-                ev = fairness_objective(heads, yhat, z, strata, weights, prediction_grad=False)
+                ev = fairness_objective(heads, fair_rows, yhat, weights, prediction_grad=False)
                 for key, grads in ev.head_grads.items():
-                    sgd_step(heads[key].model, grads, -cfg.disc_lr)
+                    sgd_step(heads[key], grads, -cfg.disc_lr)
             if robustness is not None:
                 rv = robustness_objective(robustness, rob_rows, yhat)
                 sgd_step(robustness.model, rv.adversary_grads(), -cfg.disc_lr)
@@ -303,7 +305,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         d_total = lam0 * d_l1
         l2 = 0.0
         if heads:
-            ev = fairness_objective(heads, yhat, z, strata, weights)
+            ev = fairness_objective(heads, fair_rows, yhat, weights)
             l2 = ev.value
             d_total = d_total + cfg.lambda1 * ev.prediction_grad
         l3 = rv.value if rv is not None else 0.0

@@ -19,6 +19,7 @@ from fairrobust import benchmarks as B
 from fairrobust.adversaries import (
     DiscreteJoint,
     fairness_objective,
+    fairness_rows,
     new_fairness_adversary,
     new_robustness_adversary,
     oracle_deviations,
@@ -187,8 +188,8 @@ def test_criterion_3_gradient_integrity():
 
         def l2_di(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = fairness_objective({0: fair}, cache.output.ravel(), z, np.zeros(m, dtype=int),
-                                    weights)
+            ev = fairness_objective({0: fair}, fairness_rows(z, np.zeros(m, dtype=int)),
+                                    cache.output.ravel(), weights)
             if not want_grads:
                 return ev.value
             gen_grads = backward(gen, cache, ev.prediction_grad[:, None])
@@ -197,7 +198,7 @@ def test_criterion_3_gradient_integrity():
 
         def l2_eo(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = fairness_objective(heads, cache.output.ravel(), z, y, weights)
+            ev = fairness_objective(heads, fairness_rows(z, y), cache.output.ravel(), weights)
             if not want_grads:
                 return ev.value
             gen_grads = backward(gen, cache, ev.prediction_grad[:, None])
@@ -216,9 +217,9 @@ def test_criterion_3_gradient_integrity():
                 [flatten_grads(gen_grads)]
                 + [g.ravel() for g in ev.weight_grads + ev.bias_grads])
 
-        worst = max(worst, _joint_check(rng, l2_di, gen, [fair.model], None))
+        worst = max(worst, _joint_check(rng, l2_di, gen, [fair], None))
         worst = max(worst, _joint_check(
-            rng, l2_eo, gen, [heads[0].model, heads[1].model], None))
+            rng, l2_eo, gen, [heads[0], heads[1]], None))
         worst = max(worst, _joint_check(rng, l3, gen, [rob.model], None))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4

@@ -11,6 +11,7 @@ from fairrobust.adversaries import (
     DiscreteJoint,
     InvalidJointError,
     fairness_objective,
+    fairness_rows,
     mi_exact,
     mi_via_discriminator,
     new_fairness_adversary,
@@ -25,6 +26,7 @@ from fairrobust.nnet import backward, forward, forward_with_cache, sgd_step
 from gradcheck import (
     flatten_grads,
     get_flat_params,
+    masked_fairness_objective,
     numeric_gradient,
     set_flat_params,
     table_objective,
@@ -126,7 +128,7 @@ def test_cmi_degenerate_condition_matches_slice_mi():
 
 def _uniform_adversary(z_cardinality):
     adv = new_fairness_adversary(z_cardinality, seed=0)
-    for p in adv.model.weights + adv.model.biases:
+    for p in adv.weights + adv.biases:
         p[...] = 0.0
     return adv
 
@@ -135,14 +137,14 @@ def test_fairness_di_uniform_adversary_balanced_groups():
     adv = _uniform_adversary(2)
     yhat = np.array([0.2, 0.9, 0.4, 0.7])
     z = np.array([0, 1, 1, 0])
-    ev = fairness_objective({0: adv}, yhat, z, np.zeros(4, dtype=int))
+    ev = fairness_objective({0: adv}, fairness_rows(z, np.zeros(4, dtype=int)), yhat)
     # (1/m) * m * log(1/2) + ln 2 = 0
     assert ev.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fairness_di_simplex_outputs():
     adv = new_fairness_adversary(3, seed=2)
-    out = forward(adv.model, np.linspace(0.1, 0.9, 7)[:, None])
+    out = forward(adv, np.linspace(0.1, 0.9, 7)[:, None])
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -181,7 +183,7 @@ def test_fairness_eo_uniform_adversary_balanced():
     yhat = np.array([0.2, 0.8, 0.3, 0.7])
     z = np.array([0, 1, 0, 1])
     y = np.array([0, 0, 1, 1])
-    ev = fairness_objective(heads, yhat, z, y)
+    ev = fairness_objective(heads, fairness_rows(z, y), yhat)
     assert ev.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,16 +192,18 @@ def test_fairness_left_out_rows_carry_no_payoff_or_gradient():
     yhat = np.array([0.2, 0.9, 0.4, 0.7, 0.6])
     z = np.array([0, 1, 1, 0, 1])
     strata = np.array([0, -1, 0, 0, -1])
-    ev = fairness_objective({0: adv}, yhat, z, strata)
+    ev = fairness_objective({0: adv}, fairness_rows(z, strata), yhat)
     kept = strata >= 0
-    alone = fairness_objective({0: adv}, yhat[kept], z[kept], np.zeros(3, dtype=int))
+    alone = fairness_objective({0: adv}, fairness_rows(z[kept], np.zeros(3, dtype=int)),
+                               yhat[kept])
     assert ev.value == alone.value
     assert np.array_equal(ev.prediction_grad[kept], alone.prediction_grad)
     assert np.all(ev.prediction_grad[~kept] == 0.0)
 
 
 def test_fairness_no_kept_rows_is_zero_without_gradients():
-    ev = fairness_objective({0: _uniform_adversary(2)}, [0.3, 0.8], [0, 1], [-1, -1])
+    ev = fairness_objective({0: _uniform_adversary(2)}, fairness_rows([0, 1], [-1, -1]),
+                            [0.3, 0.8])
     assert ev.value == 0.0 and ev.head_grads == {}
     assert np.array_equal(ev.prediction_grad, np.zeros(2))
 
@@ -207,9 +211,67 @@ def test_fairness_no_kept_rows_is_zero_without_gradients():
 def test_fairness_rejects_empty_input_and_missing_head():
     adv = _uniform_adversary(2)
     with pytest.raises(ValueError):
-        fairness_objective({0: adv}, [], [], [])
+        fairness_objective({0: adv}, fairness_rows([], []), [])
     with pytest.raises(ValueError, match="stratum 1"):
-        fairness_objective({0: adv}, [0.3, 0.8], [0, 1], [0, 1])
+        fairness_objective({0: adv}, fairness_rows([0, 1], [0, 1]), [0.3, 0.8])
+
+
+def test_fairness_rows_reject_bad_input():
+    with pytest.raises(ValueError, match="nonempty"):
+        fairness_rows([], [])
+    with pytest.raises(ValueError, match="got 4 and 3"):
+        fairness_rows([0, 1, 0, 1], [0, 0, 0])
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        fairness_rows([0, 1, 0, -1], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_fairness_rejects_predictions_or_weights_of_another_length(length):
+    adv = _uniform_adversary(2)
+    rows = fairness_rows([0, 1, 0, 1], [0, 0, 0, 0])
+    with pytest.raises(ValueError, match=f"4 predictions and {length} weights for 4 rows"):
+        fairness_objective({0: adv}, rows, [0.2, 0.4, 0.6, 0.8], np.ones(length))
+    with pytest.raises(ValueError, match=f"{length} predictions and 4 weights for 4 rows"):
+        fairness_objective({0: adv}, rows, np.full(length, 0.5), np.ones(4))
+
+
+def test_fairness_rejects_a_head_with_fewer_outputs_than_groups():
+    rows = fairness_rows([0, 2, 1], [0, 0, 0])
+    with pytest.raises(ValueError, match="output dim"):
+        fairness_objective({0: _uniform_adversary(2)}, rows, [0.2, 0.5, 0.8])
+
+
+def _assert_same_fairness_eval(got, want):
+    assert got.value == want.value
+    assert sorted(got.head_grads) == sorted(want.head_grads)
+    for key, ref in want.head_grads.items():
+        grads = got.head_grads[key]
+        for a, b in zip(grads.weights + grads.biases, ref.weights + ref.biases, strict=True):
+            assert np.array_equal(a, b)
+        assert (grads.inputs is None) == (ref.inputs is None)
+        assert ref.inputs is None or np.array_equal(grads.inputs, ref.inputs)
+    assert (got.prediction_grad is None) == (want.prediction_grad is None)
+    assert want.prediction_grad is None or np.array_equal(got.prediction_grad,
+                                                          want.prediction_grad)
+
+
+@pytest.mark.parametrize("prediction_grad", [True, False])
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("case", ["DI", "EO", "EOPP", "absent stratum"])
+def test_fairness_plan_matches_the_masked_reference_bit_for_bit(case, weighted,
+                                                                prediction_grad):
+    rng = np.random.default_rng(27)
+    n = 300
+    yhat = rng.uniform(0.01, 0.99, n)
+    z = rng.integers(0, 3, n)
+    y = rng.integers(0, 2, n)
+    w = rng.uniform(0.2, 1.5, n) if weighted else None
+    strata = {"DI": np.zeros(n, dtype=int), "EO": y, "EOPP": np.where(y == 1, 0, -1),
+              "absent stratum": rng.choice([-1, 0, 2], n)}[case]  # no row in stratum 1
+    heads = {key: new_fairness_adversary(3, seed=28 + key) for key in (0, 1, 2)}
+    got = fairness_objective(heads, fairness_rows(z, strata), yhat, w, prediction_grad)
+    want = masked_fairness_objective(heads, yhat, z, strata, w, prediction_grad)
+    _assert_same_fairness_eval(got, want)
 
 
 def test_fairness_eo_fixture_matches_conditional_mi():
@@ -423,8 +485,8 @@ def test_fairness_ascent_without_prediction_grad_keeps_value_and_head_grads():
     heads = {0: new_fairness_adversary(2, seed=25), 1: new_fairness_adversary(2, seed=26)}
     yhat = rng.uniform(0.05, 0.95, 50)
     z, y, w = rng.integers(0, 2, 50), rng.integers(0, 2, 50), rng.uniform(0.2, 1.5, 50)
-    full = fairness_objective(heads, yhat, z, y, w)
-    ascent = fairness_objective(heads, yhat, z, y, w, prediction_grad=False)
+    full = fairness_objective(heads, fairness_rows(z, y), yhat, w)
+    ascent = fairness_objective(heads, fairness_rows(z, y), yhat, w, prediction_grad=False)
     assert ascent.prediction_grad is None and full.prediction_grad.shape == (50,)
     assert ascent.value == full.value
     for key in (0, 1):
@@ -453,14 +515,15 @@ def test_fairness_gradients_match_finite_differences():
     z = rng.integers(0, 2, 12)
     w = rng.uniform(0.3, 2.0, 12)
     s = np.zeros(12, dtype=int)
-    ev = fairness_objective({0: adv}, yhat, z, s, w)
+    rows = fairness_rows(z, s)
+    ev = fairness_objective({0: adv}, rows, yhat, w)
     numeric = _check_adversary_gradient(
-        lambda: fairness_objective({0: adv}, yhat, z, s, w).value, adv.model)
+        lambda: fairness_objective({0: adv}, rows, yhat, w).value, adv)
     analytic = flatten_grads(ev.head_grads[0])
     assert np.abs(analytic - numeric).max() < 1e-6
     # Gradient through the predictions.
     def f_pred(flat):
-        return fairness_objective({0: adv}, flat, z, s, w).value
+        return fairness_objective({0: adv}, rows, flat, w).value
 
     numeric_pred = numeric_gradient(f_pred, yhat)
     assert np.abs(ev.prediction_grad - numeric_pred).max() < 1e-6
@@ -500,7 +563,8 @@ def test_fairness_objective_permutation_invariant(seed):
         z[0], z[1] = 0, 1
     w = rng.uniform(0.1, 2.0, 10)
     s = np.zeros(10, dtype=int)
-    base = fairness_objective({0: adv}, yhat, z, s, w).value
+    base = fairness_objective({0: adv}, fairness_rows(z, s), yhat, w).value
     order = rng.permutation(10)
-    permuted = fairness_objective({0: adv}, yhat[order], z[order], s, w[order]).value
+    permuted = fairness_objective({0: adv}, fairness_rows(z[order], s), yhat[order],
+                                  w[order]).value
     assert permuted == pytest.approx(base, rel=1e-12)

@@ -196,6 +196,30 @@ def test_robustness_adversary_runs_backward_only_in_ascent_steps(datasets, monke
     assert fair.count(True) == cfg.epochs and fair.count(False) > 0
 
 
+def test_eo_run_builds_the_fairness_plan_once(datasets, monkeypatch):
+    train, val, _ = datasets
+    cfg = replace(benchmarks.eo_config(0), epochs=3, pretrain_epochs=2)
+    calls = []
+
+    def recording(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(trainer, "fairness_rows", recording("plan", trainer.fairness_rows))
+    monkeypatch.setattr(adversaries, "empirical_entropy",
+                        recording("entropy", adversaries.empirical_entropy))
+    monkeypatch.setattr(trainer, "fairness_objective",
+                        recording("objective", trainer.fairness_objective))
+    train_fair_robust(train, val, cfg)
+
+    # One plan with one entropy per label stratum at set-up, then only
+    # evaluations: update_ratio ascents and one descent per epoch.
+    assert calls == (["plan", "entropy", "entropy"]
+                     + ["objective"] * ((cfg.update_ratio + 1) * cfg.epochs))
+
+
 def test_validation_group_beyond_training_cardinality_is_config_error(datasets):
     train, val, _ = datasets
     sensitive = val.sensitive.copy()
