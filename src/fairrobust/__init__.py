@@ -33,7 +33,6 @@ from .metrics import (
 from .nnet import MLPModel, MLPSpec, OptimizerState, forward, weighted_cross_entropy
 from .adversaries import (
     DiscreteJoint,
-    RobustnessAdversary,
     fairness_objective,
     mi_exact,
     mi_via_discriminator,

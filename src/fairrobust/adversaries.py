@@ -226,48 +226,37 @@ def oracle_deviations(joints) -> tuple[float, float]:
     return worst_closed, worst_numeric
 
 
-@dataclass
-class RobustnessAdversary:
-    """Scores (features, one-hot group, label) rows as validation-like."""
-
-    model: MLPModel
-    z_cardinality: int
-
-    def __post_init__(self):
-        if self.model.spec.output_activation != "sigmoid" or self.model.spec.output_dim != 1:
-            raise ValueError("robustness adversary requires a scalar sigmoid output")
-        expected = self.model.spec.input_dim - self.z_cardinality - 1
-        if expected < 1:
-            raise ValueError("input dim too small for features + one-hot z + label slot")
-
-
 def new_fairness_adversary(z_cardinality: int, seed: int) -> MLPModel:
     """Single-layer softmax head that predicts the sensitive group from the
     scalar prediction; the softmax keeps its output on the simplex."""
-    spec = MLPSpec(input_dim=1, hidden_dim=0, output_dim=z_cardinality,
-                   output_activation="softmax")
-    return init_model(spec, seed)
+    if z_cardinality < 2:
+        raise ValueError(f"a softmax head needs 2 or more groups, got {z_cardinality}")
+    return init_model(MLPSpec(input_dim=1, hidden_dim=0, output_dim=z_cardinality), seed)
 
 
 def new_robustness_adversary(feature_dim: int, z_cardinality: int, hidden_dim: int,
-                             seed: int) -> RobustnessAdversary:
-    spec = MLPSpec(
-        input_dim=feature_dim + z_cardinality + 1,
-        hidden_dim=hidden_dim,
-        output_dim=1,
-        hidden_activation="relu",
-        output_activation="sigmoid",
-    )
-    return RobustnessAdversary(init_model(spec, seed), z_cardinality)
+                             seed: int) -> MLPModel:
+    """Sigmoid net that scores (features, one-hot group, label) rows as validation-like."""
+    return init_model(MLPSpec(input_dim=feature_dim + z_cardinality + 1, hidden_dim=hidden_dim),
+                      seed)
 
 
 def robustness_inputs(features, z, label_slot, z_cardinality: int) -> np.ndarray:
-    """Concatenate (features, one-hot z, label slot)."""
+    """Concatenate (features, one-hot z, label slot).
+
+    Group codes must lie in [0, z_cardinality) and label slots in {0, 1}.
+    """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     z = np.asarray(z, dtype=np.int64).reshape(-1)
+    slot = np.asarray(label_slot, dtype=np.float64).reshape(-1, 1)
+    bad_z = z[(z < 0) | (z >= z_cardinality)]
+    if len(bad_z):
+        raise ValueError(f"group code {bad_z[0]} is outside [0, {z_cardinality})")
+    bad_slot = slot[(slot != 0.0) & (slot != 1.0)]
+    if len(bad_slot):
+        raise ValueError(f"label slot {bad_slot[0]} is not 0 or 1")
     onehot = np.zeros((len(z), z_cardinality))
     onehot[np.arange(len(z)), z] = 1.0
-    slot = np.asarray(label_slot, dtype=np.float64).reshape(-1, 1)
     return np.hstack([features, onehot, slot])
 
 
@@ -289,20 +278,21 @@ class RobustnessRows:
     val: ForwardCache
 
 
-def robustness_rows(adv: RobustnessAdversary, train_features, train_z, val_features,
-                    val_z, val_labels) -> RobustnessRows:
+def robustness_rows(adv: MLPModel, z_cardinality: int, train_features, train_z,
+                    val_features, val_z, val_labels) -> RobustnessRows:
     """Build the constant input rows of ``robustness_objective`` for one run."""
-    x_va = robustness_inputs(val_features, val_z, val_labels, adv.z_cardinality)
+    if adv.spec.output_dim != 1:
+        raise ValueError("robustness adversary requires a scalar sigmoid output")
+    x_va = robustness_inputs(val_features, val_z, val_labels, z_cardinality)
     if len(x_va) == 0:
         raise ValueError("validation set must be nonempty")
-    x_pos = robustness_inputs(train_features, train_z, np.ones(len(train_z)),
-                              adv.z_cardinality)
+    x_pos = robustness_inputs(train_features, train_z, np.ones(len(train_z)), z_cardinality)
     if len(x_pos) == 0:
         raise ValueError("training set must be nonempty")
     x_neg = x_pos.copy()
     x_neg[:, -1] = 0.0
-    return RobustnessRows(forward_with_cache(adv.model, np.vstack([x_pos, x_neg])),
-                          forward_with_cache(adv.model, x_va))
+    return RobustnessRows(forward_with_cache(adv, np.vstack([x_pos, x_neg])),
+                          forward_with_cache(adv, x_va))
 
 
 @dataclass(frozen=True)
@@ -430,7 +420,7 @@ def fairness_objective(heads: dict[int, MLPModel], rows: FairnessRows, predictio
     return FairnessEval(value, head_grads, pred_grad)
 
 
-def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_predictions,
+def robustness_objective(adv: MLPModel, rows: RobustnessRows, train_predictions,
                          param_grads: bool = True) -> RobustnessEval:
     """Balanced real-vs-generated payoff between validation rows and training rows.
 
@@ -454,8 +444,8 @@ def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_p
     m_tr, m_va = len(yhat), len(rows.val.x)
     if len(rows.train.x) != 2 * m_tr:
         raise ValueError(f"{m_tr} predictions for {len(rows.train.x) // 2} training rows")
-    cache_tr = forward_with_cache(adv.model, rows.train.x, rows.train)
-    cache_va = forward_with_cache(adv.model, rows.val.x, rows.val)
+    cache_tr = forward_with_cache(adv, rows.train.x, rows.train)
+    cache_va = forward_with_cache(adv, rows.val.x, rows.val)
     d_tr = cache_tr.output.ravel()
     d_pos, d_neg = d_tr[:m_tr], d_tr[m_tr:]
     d_va = cache_va.output.ravel()
@@ -471,8 +461,8 @@ def robustness_objective(adv: RobustnessAdversary, rows: RobustnessRows, train_p
         up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
         up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
                  / (2.0 * m_tr))[:, None]
-        g_va = backward(adv.model, cache_va, up_va, input_grad=False)
-        g_tr = backward(adv.model, cache_tr, up_tr, input_grad=False)
+        g_va = backward(adv, cache_va, up_va, input_grad=False)
+        g_tr = backward(adv, cache_tr, up_tr, input_grad=False)
         weight_grads = [a + b for a, b in zip(g_va.weights, g_tr.weights)]
         bias_grads = [a + b for a, b in zip(g_va.biases, g_tr.biases)]
     return RobustnessEval(

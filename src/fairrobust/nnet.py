@@ -4,6 +4,11 @@ Everything is float64 numpy and fully deterministic given a seed. Models are
 small (a handful of units), so all passes are full matrix ops with no batching
 machinery beyond what the caller supplies.
 
+One kind of network: an optional ReLU hidden layer, then a sigmoid output
+(clamped into (0, 1)) for one output or a softmax for two or more, so the
+spec holds only the three widths. Adam's betas and epsilon are the constants
+below.
+
 Buffers: a forward pass computes the hidden layer in place in one (n, hidden)
 array, and ``backward`` computes dLoss/dHidden and then dLoss/dPre-activation
 in place in a second one; both live on the ``ForwardCache``. A caller that
@@ -25,9 +30,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 PROB_EPS = 1e-7  # probability clamp bound applied before any log
-
-HIDDEN_ACTIVATIONS = ("relu", "tanh")
-OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -38,17 +41,11 @@ class TrainingDivergedError(RuntimeError):
 class MLPSpec:
     input_dim: int
     hidden_dim: int = 0  # 0 = linear model
-    output_dim: int = 1
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
+    output_dim: int = 1  # 1 = sigmoid output, more = softmax
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1 or self.hidden_dim < 0:
             raise ValueError(f"bad dimensions in {self}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
 
 @dataclass
@@ -147,12 +144,9 @@ def forward_with_cache(model: MLPModel, x: np.ndarray,
         hidden, work = (np.empty(shape), np.empty(shape)) if reuse is None else (reuse.hidden, reuse.work)
         np.matmul(x, model.weights[0], out=hidden)
         hidden += model.biases[0]
-        if spec.hidden_activation == "relu":
-            np.maximum(hidden, 0.0, out=hidden)
-        else:
-            np.tanh(hidden, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
         logits = hidden @ model.weights[1] + model.biases[1]
-    if spec.output_activation == "sigmoid":
+    if spec.output_dim == 1:
         raw = _sigmoid(logits)
         out = clip_probs(raw)
     else:
@@ -180,7 +174,7 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
     if d_output.shape != cache.output.shape:
         raise ValueError("upstream gradient shape mismatch")
     p = cache.raw_output
-    if spec.output_activation == "sigmoid":
+    if spec.output_dim == 1:
         d_logits = d_output * p * (1.0 - p)
     else:
         d_logits = p * (d_output - _row_reduce(np.add, d_output * p, 0.0)[:, None])
@@ -192,10 +186,7 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
     d_w2 = cache.hidden.T @ d_logits
     d_b2 = d_logits.sum(axis=0)
     d_pre = np.matmul(d_logits, model.weights[1].T, out=cache.work)  # dLoss/dHidden, then in place:
-    if spec.hidden_activation == "relu":
-        d_pre *= cache.hidden > 0  # the same mask as pre-activation > 0, NaN included
-    else:
-        d_pre *= 1.0 - cache.hidden**2
+    d_pre *= cache.hidden > 0  # the same mask as pre-activation > 0, NaN included
     d_w1 = cache.x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
     d_x = d_pre @ model.weights[0].T if input_grad else None
@@ -230,9 +221,6 @@ class OptimizerState:
     learning_rate: float
     m: list[np.ndarray]
     v: list[np.ndarray]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
 
     def __post_init__(self):
@@ -262,7 +250,7 @@ def sgd_step(model: MLPModel, grads: Gradients, step: float) -> None:
 def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
     _check_finite(grads)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     params = model.weights + model.biases
     glist = grads.weights + grads.biases
     for i, (p, g) in enumerate(zip(params, glist)):
@@ -270,7 +258,7 @@ def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
         state.v[i] = b2 * state.v[i] + (1 - b2) * g**2
         m_hat = state.m[i] / (1 - b1**state.t)
         v_hat = state.v[i] / (1 - b2**state.t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def save_model(model: MLPModel, path) -> None:
@@ -284,9 +272,26 @@ def save_model(model: MLPModel, path) -> None:
 
 
 def load_model(path) -> MLPModel:
+    """The model that ``save_model`` wrote to ``path``.
+
+    Files written while the activations were spec fields also carry
+    ``hidden_activation`` and ``output_activation``; they load when these name
+    what the widths now imply, and any other value or spec key is rejected.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    spec = MLPSpec(**payload["spec"])
+    dims = dict(payload["spec"])
+    old = {key: dims.pop(key) for key in ("hidden_activation", "output_activation") if key in dims}
+    unknown = sorted(set(dims) - {"input_dim", "hidden_dim", "output_dim"})
+    if unknown:
+        raise ValueError(f"unknown model spec key {unknown[0]!r} = {dims[unknown[0]]!r}")
+    spec = MLPSpec(**dims)
+    implied = {"hidden_activation": "relu",
+               "output_activation": "sigmoid" if spec.output_dim == 1 else "softmax"}
+    for key, value in old.items():
+        if value != implied[key]:
+            raise ValueError(f"{key} {value!r} is not supported for output_dim "
+                             f"{spec.output_dim}: expected {implied[key]!r}")
     model = MLPModel(
         spec,
         [np.asarray(w, dtype=np.float64) for w in payload["weights"]],

@@ -247,7 +247,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
                                               ROBUST_HIDDEN, seeds[2])
-        rob_rows = robustness_rows(robustness, train.features, z,
+        rob_rows = robustness_rows(robustness, train.z_cardinality, train.features, z,
                                    val.features, val.sensitive, val.labels)
 
     history = TrainHistory()
@@ -283,7 +283,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
                     sgd_step(heads[key], grads, -cfg.disc_lr)
             if robustness is not None:
                 rv = robustness_objective(robustness, rob_rows, yhat)
-                sgd_step(robustness.model, rv.adversary_grads(), -cfg.disc_lr)
+                sgd_step(robustness, rv.adversary_grads(), -cfg.disc_lr)
 
         l_c = l_d = r_gate = float("nan")
         rv = None

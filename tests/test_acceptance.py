@@ -208,7 +208,7 @@ def test_criterion_3_gradient_integrity():
 
         def l3(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = robustness_objective(rob, robustness_rows(rob, x, z, x_va, z_va, y_va),
+            ev = robustness_objective(rob, robustness_rows(rob, 2, x, z, x_va, z_va, y_va),
                                       cache.output.ravel())
             if not want_grads:
                 return ev.value
@@ -220,7 +220,7 @@ def test_criterion_3_gradient_integrity():
         worst = max(worst, _joint_check(rng, l2_di, gen, [fair], None))
         worst = max(worst, _joint_check(
             rng, l2_eo, gen, [heads[0], heads[1]], None))
-        worst = max(worst, _joint_check(rng, l3, gen, [rob.model], None))
+        worst = max(worst, _joint_check(rng, l3, gen, [rob], None))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4
     assert elapsed < 60

@@ -22,7 +22,7 @@ from fairrobust.adversaries import (
     robustness_rows,
 )
 from fairrobust.metrics import empirical_entropy
-from fairrobust.nnet import backward, forward, forward_with_cache, sgd_step
+from fairrobust.nnet import MLPSpec, backward, forward, forward_with_cache, init_model, sgd_step
 from gradcheck import (
     flatten_grads,
     get_flat_params,
@@ -300,11 +300,11 @@ def test_fairness_eo_fixture_matches_conditional_mi():
 
 def test_robustness_uniform_adversary_is_zero():
     adv = new_robustness_adversary(feature_dim=2, z_cardinality=2, hidden_dim=4, seed=0)
-    for p in adv.model.weights + adv.model.biases:
+    for p in adv.weights + adv.biases:
         p[...] = 0.0
     rng = np.random.default_rng(0)
     x_tr, z_tr, yhat = rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.uniform(0.1, 0.9, 6)
-    rows = robustness_rows(adv, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
+    rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
                            rng.integers(0, 2, 4))
     ev = robustness_objective(adv, rows, yhat)
     assert ev.value == pytest.approx(0.0, abs=1e-12)
@@ -337,7 +337,32 @@ def test_robustness_optimum_matches_exact_mi_on_discrete_fixture():
 def test_robustness_empty_validation_rejected():
     adv = new_robustness_adversary(2, 2, 4, seed=1)
     with pytest.raises(ValueError):
-        robustness_rows(adv, np.zeros((3, 2)), [0, 1, 0], np.zeros((0, 2)), [], [])
+        robustness_rows(adv, 2, np.zeros((3, 2)), [0, 1, 0], np.zeros((0, 2)), [], [])
+
+
+@pytest.mark.parametrize("train_z, val_z, val_labels, message", [
+    ([0, 1, -1], [0, 1], [0, 1], "group code -1 is outside"),
+    ([0, 1, 2], [0, 1], [0, 1], "group code 2 is outside"),
+    ([0, 1, 0], [0, 2], [0, 1], "group code 2 is outside"),
+    ([0, 1, 0], [0, 1], [0, 2], "label slot 2.0 is not 0 or 1"),
+])
+def test_robustness_rows_reject_bad_group_codes_and_labels(train_z, val_z, val_labels, message):
+    # A code outside [0, z_cardinality) must be named, not one-hot encoded as
+    # another group (-1 as the last) or left to an IndexError, and so must a
+    # label slot other than 0 or 1.
+    adv = new_robustness_adversary(2, 2, 4, seed=1)
+    with pytest.raises(ValueError, match=message):
+        robustness_rows(adv, 2, np.zeros((3, 2)), train_z, np.zeros((2, 2)), val_z, val_labels)
+
+
+def test_adversaries_reject_an_output_width_that_names_the_other_activation():
+    # One output is a sigmoid and two or more a softmax, so a one-group head
+    # would not be a softmax and a two-output robustness model not a sigmoid.
+    with pytest.raises(ValueError, match="2 or more groups, got 1"):
+        new_fairness_adversary(1, seed=0)
+    wide = init_model(MLPSpec(input_dim=5, hidden_dim=4, output_dim=2), seed=0)
+    with pytest.raises(ValueError, match="scalar sigmoid output"):
+        robustness_rows(wide, 2, np.zeros((3, 2)), [0, 1, 0], np.zeros((2, 2)), [0, 1], [0, 1])
 
 
 def test_robustness_payoff_affine_in_each_prediction():
@@ -353,7 +378,7 @@ def test_robustness_payoff_affine_in_each_prediction():
     z_va = rng.integers(0, 2, 5)
     y_va = rng.integers(0, 2, 5)
 
-    rows = robustness_rows(adv, x_tr, z_tr, x_va, z_va, y_va)
+    rows = robustness_rows(adv, 2, x_tr, z_tr, x_va, z_va, y_va)
 
     def payoff(predictions):
         return robustness_objective(adv, rows, predictions).value
@@ -372,22 +397,22 @@ def test_robustness_label_scores_use_each_rows_own_label():
     x_tr = rng.normal(size=(8, 2))
     z_tr = rng.integers(0, 2, 8)
     y_tr = rng.integers(0, 2, 8)
-    rows = robustness_rows(adv, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
+    rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
                            rng.integers(0, 2, 4))
     ev = robustness_objective(adv, rows, rng.uniform(0.1, 0.9, 8))
-    expected = forward(adv.model, robustness_inputs(x_tr, z_tr, y_tr, 2)).ravel()
+    expected = forward(adv, robustness_inputs(x_tr, z_tr, y_tr, 2)).ravel()
     assert np.allclose(ev.label_scores(y_tr), expected, rtol=0, atol=1e-15)
 
 
-def _reference_robustness(adv, x_tr, z_tr, yhat, x_va, z_va, y_va):
+def _reference_robustness(adv, z_cardinality, x_tr, z_tr, yhat, x_va, z_va, y_va):
     """The robustness payoff with every input row rebuilt and full backward passes."""
-    x_pos = robustness_inputs(x_tr, z_tr, np.ones_like(yhat), adv.z_cardinality)
-    x_va = robustness_inputs(x_va, z_va, y_va, adv.z_cardinality)
+    x_pos = robustness_inputs(x_tr, z_tr, np.ones_like(yhat), z_cardinality)
+    x_va = robustness_inputs(x_va, z_va, y_va, z_cardinality)
     x_neg = x_pos.copy()
     x_neg[:, -1] = 0.0
     m_tr, m_va = len(x_pos), len(x_va)
-    cache_tr = forward_with_cache(adv.model, np.vstack([x_pos, x_neg]))
-    cache_va = forward_with_cache(adv.model, x_va)
+    cache_tr = forward_with_cache(adv, np.vstack([x_pos, x_neg]))
+    cache_va = forward_with_cache(adv, x_va)
     d_pos, d_neg = np.split(cache_tr.output.ravel(), 2)
     d_va = cache_va.output.ravel()
     log_pos = np.log(1.0 - d_pos)
@@ -400,8 +425,8 @@ def _reference_robustness(adv, x_tr, z_tr, yhat, x_va, z_va, y_va):
     up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
     up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
              / (2.0 * m_tr))[:, None]
-    g_va = backward(adv.model, cache_va, up_va)
-    g_tr = backward(adv.model, cache_tr, up_tr)
+    g_va = backward(adv, cache_va, up_va)
+    g_tr = backward(adv, cache_tr, up_tr)
     return {
         "value": value,
         "weight_grads": [a + b for a, b in zip(g_va.weights, g_tr.weights)],
@@ -414,14 +439,14 @@ def _reference_robustness(adv, x_tr, z_tr, yhat, x_va, z_va, y_va):
 def test_hoisted_robustness_paths_equal_reference_bit_for_bit():
     rng = np.random.default_rng(21)
     adv = new_robustness_adversary(2, 3, 8, seed=22)
-    for p in adv.model.biases:
+    for p in adv.biases:
         p[...] = rng.normal(scale=0.3, size=p.shape)
     m = 300
     x_tr, z_tr = rng.normal(size=(m, 2)), rng.integers(0, 3, m)
     x_va, z_va, y_va = rng.normal(size=(40, 2)), rng.integers(0, 3, 40), rng.integers(0, 2, 40)
     yhat = rng.uniform(0.05, 0.95, m)
-    rows = robustness_rows(adv, x_tr, z_tr, x_va, z_va, y_va)
-    ref = _reference_robustness(adv, x_tr, z_tr, yhat, x_va, z_va, y_va)
+    rows = robustness_rows(adv, 3, x_tr, z_tr, x_va, z_va, y_va)
+    ref = _reference_robustness(adv, 3, x_tr, z_tr, yhat, x_va, z_va, y_va)
 
     ascent = robustness_objective(adv, rows, yhat)
     evaluation = robustness_objective(adv, rows, yhat, param_grads=False)
@@ -441,7 +466,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     rng = np.random.default_rng(27)
     adv = new_robustness_adversary(2, 2, 8, seed=28)
     x_tr, z_tr = rng.normal(size=(50, 2)), rng.integers(0, 2, 50)
-    rows = robustness_rows(adv, x_tr, z_tr, rng.normal(size=(10, 2)), rng.integers(0, 2, 10),
+    rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(10, 2)), rng.integers(0, 2, 10),
                            rng.integers(0, 2, 10))
     yhat = rng.uniform(0.05, 0.95, 50)
     caches = []
@@ -453,7 +478,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     monkeypatch.setattr(adversaries, "forward_with_cache", recording_forward)
     first = robustness_objective(adv, rows, yhat)
     kept = copy.deepcopy(first)
-    sgd_step(adv.model, first.adversary_grads(), -0.5)
+    sgd_step(adv, first.adversary_grads(), -0.5)
     later = robustness_objective(adv, rows, rng.uniform(0.05, 0.95, 50))
 
     assert len(caches) == 4  # a training and a validation pass per call
@@ -474,7 +499,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
 
 def test_robustness_rows_reject_a_prediction_count_mismatch():
     adv = new_robustness_adversary(2, 2, 4, seed=23)
-    rows = robustness_rows(adv, np.zeros((5, 2)), [0, 1, 0, 1, 0], np.zeros((2, 2)),
+    rows = robustness_rows(adv, 2, np.zeros((5, 2)), [0, 1, 0, 1, 0], np.zeros((2, 2)),
                            [0, 1], [1, 0])
     with pytest.raises(ValueError, match="4 predictions for 5 training rows"):
         robustness_objective(adv, rows, np.full(4, 0.5))
@@ -538,10 +563,10 @@ def test_robustness_gradients_match_finite_differences():
     x_va = rng.normal(size=(5, 2))
     z_va = rng.integers(0, 2, 5)
     y_va = rng.integers(0, 2, 5)
-    rows = robustness_rows(adv, x_tr, z_tr, x_va, z_va, y_va)
+    rows = robustness_rows(adv, 2, x_tr, z_tr, x_va, z_va, y_va)
     ev = robustness_objective(adv, rows, yhat)
     numeric = _check_adversary_gradient(
-        lambda: robustness_objective(adv, rows, yhat).value, adv.model)
+        lambda: robustness_objective(adv, rows, yhat).value, adv)
     analytic = np.concatenate([g.ravel() for g in ev.weight_grads + ev.bias_grads])
     assert np.abs(analytic - numeric).max() < 1e-6
 

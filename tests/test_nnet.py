@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -42,15 +43,13 @@ def test_zero_weight_sigmoid_outputs_half():
 
 
 def test_softmax_equal_logits_uniform():
-    model = _zeroed(MLPSpec(input_dim=2, hidden_dim=0, output_dim=4,
-                            output_activation="softmax"))
+    model = _zeroed(MLPSpec(input_dim=2, hidden_dim=0, output_dim=4))
     out = forward(model, [[1.0, -2.0]])
     assert np.allclose(out, 0.25)
 
 
 def test_softmax_rows_sum_to_one():
-    model = init_model(MLPSpec(input_dim=3, hidden_dim=4, output_dim=5,
-                               output_activation="softmax"), seed=1)
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=4, output_dim=5), seed=1)
     out = forward(model, np.random.default_rng(1).normal(size=(20, 3)))
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
     assert out.min() >= 0
@@ -63,8 +62,7 @@ def test_sigmoid_strictly_inside_unit_interval():
 
 
 def test_two_layer_forward_matches_hand_computation():
-    spec = MLPSpec(input_dim=2, hidden_dim=2, output_dim=1,
-                   hidden_activation="relu", output_activation="sigmoid")
+    spec = MLPSpec(input_dim=2, hidden_dim=2, output_dim=1)
     model = _zeroed(spec)
     model.weights[0][...] = [[1.0, -1.0], [0.5, 2.0]]
     model.biases[0][...] = [0.1, -0.2]
@@ -174,8 +172,7 @@ def _loss_through_params(model, x, y, w):
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(5)
-    spec = MLPSpec(input_dim=2, hidden_dim=4, output_dim=1,
-                   hidden_activation="tanh")
+    spec = MLPSpec(input_dim=2, hidden_dim=4, output_dim=1)
     model = init_model(spec, seed=6)
     x = rng.normal(size=(8, 2))
     y = rng.integers(0, 2, 8)
@@ -203,13 +200,11 @@ def test_input_gradient_matches_finite_differences():
     assert np.allclose(grads.inputs.ravel(), numeric, atol=1e-6)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_hidden_layer_gradients_through_a_reused_cache_match_finite_differences(activation):
+def test_hidden_layer_gradients_through_a_reused_cache_match_finite_differences():
     # The activation and the hidden-layer gradient are computed in place, in
     # buffers that an earlier pass over other rows already filled.
     rng = np.random.default_rng(14)
-    model = init_model(MLPSpec(input_dim=3, hidden_dim=5, output_dim=1,
-                               hidden_activation=activation), seed=15)
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=5, output_dim=1), seed=15)
     x = rng.normal(size=(9, 3))
     y, w = rng.integers(0, 2, 9), rng.uniform(0.2, 2.0, 9)
     stale = forward_with_cache(model, rng.normal(size=(9, 3)))
@@ -251,8 +246,9 @@ def test_softmax_column_reductions_equal_row_reductions_bit_for_bit(k):
     p_old = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     assert _bits_equal(_softmax(x), p_old)
 
-    model = init_model(MLPSpec(input_dim=3, hidden_dim=0, output_dim=k,
-                               output_activation="softmax"), seed=k)
+    if k == 1:
+        return  # a network with one output is a sigmoid
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=0, output_dim=k), seed=k)
     cache = forward_with_cache(model, rng.normal(size=(n, 3)))
     cache.raw_output = cache.output = p_old
     d_logits = p_old * (d - (d * p_old).sum(axis=1, keepdims=True))
@@ -284,8 +280,8 @@ def test_sigmoid_equals_masked_form_bit_for_bit():
 @pytest.mark.parametrize("spec", [
     MLPSpec(input_dim=3, hidden_dim=0, output_dim=1),
     MLPSpec(input_dim=3, hidden_dim=8, output_dim=1),
-    MLPSpec(input_dim=3, hidden_dim=5, output_dim=1, hidden_activation="tanh"),
-    MLPSpec(input_dim=1, hidden_dim=0, output_dim=3, output_activation="softmax"),
+    MLPSpec(input_dim=3, hidden_dim=5, output_dim=3),
+    MLPSpec(input_dim=1, hidden_dim=0, output_dim=3),
 ])
 def test_backward_without_input_grad_keeps_parameter_grads(spec):
     rng = np.random.default_rng(12)
@@ -300,11 +296,51 @@ def test_backward_without_input_grad_keeps_parameter_grads(spec):
 
 
 def test_model_json_round_trip(tmp_path):
-    model = init_model(MLPSpec(input_dim=3, hidden_dim=5, output_dim=2,
-                               output_activation="softmax"), seed=9)
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=5, output_dim=2), seed=9)
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
     assert back.spec == model.spec
     for a, b in zip(back.weights + back.biases, model.weights + model.biases):
         assert np.array_equal(a, b)
+
+
+def _old_format_payload(model, hidden_activation, output_activation, **extra):
+    """A model file as written while the activations were spec fields."""
+    spec = {"input_dim": model.spec.input_dim, "hidden_dim": model.spec.hidden_dim,
+            "output_dim": model.spec.output_dim, "hidden_activation": hidden_activation,
+            "output_activation": output_activation, **extra}
+    return {"spec": spec, "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases]}
+
+
+@pytest.mark.parametrize("spec, output_activation", [
+    (MLPSpec(input_dim=4), "sigmoid"),  # the generator
+    (MLPSpec(input_dim=1, output_dim=2), "softmax"),  # a 2-group fairness head
+    (MLPSpec(input_dim=5, hidden_dim=8), "sigmoid"),  # the robustness adversary
+])
+def test_old_model_files_load_to_the_same_model(tmp_path, spec, output_activation):
+    model = init_model(spec, seed=16)
+    for b in model.biases:
+        b[...] = np.random.default_rng(17).normal(size=b.shape)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_old_format_payload(model, "relu", output_activation)))
+    back = load_model(path)
+    assert back.spec == spec
+    x = np.random.default_rng(18).normal(size=(50, spec.input_dim))
+    assert np.array_equal(forward(back, x), forward(model, x))
+
+
+@pytest.mark.parametrize("output_dim, hidden, output, extra, message", [
+    (1, "tanh", "sigmoid", {}, "hidden_activation 'tanh'"),
+    (2, "relu", "sigmoid", {}, "output_activation 'sigmoid' is not supported for output_dim 2"),
+    (1, "relu", "softmax", {}, "output_activation 'softmax' is not supported for output_dim 1"),
+    (1, "relu", "sigmoid", {"dropout": 0.5}, "unknown model spec key 'dropout' = 0.5"),
+])
+def test_old_model_files_that_would_change_meaning_are_rejected(tmp_path, output_dim, hidden,
+                                                                 output, extra, message):
+    model = init_model(MLPSpec(input_dim=2, hidden_dim=3, output_dim=output_dim), seed=19)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_old_format_payload(model, hidden, output, **extra)))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)

@@ -166,11 +166,11 @@ def test_runaway_adversary_step_raises_training_diverged(datasets):
 def test_robustness_adversary_runs_backward_only_in_ascent_steps(datasets, monkeypatch):
     train, val, _ = datasets
     cfg = replace(benchmarks.poisoned_config(0), epochs=3, pretrain_epochs=2)
-    backward_calls = []  # (adversary output activation, input gradient asked for)
+    backward_calls = []  # (adversary output width, input gradient asked for)
     real_backward = adversaries.backward
 
     def counting_backward(model, cache, d_output, input_grad=True):
-        backward_calls.append((model.spec.output_activation, input_grad))
+        backward_calls.append((model.spec.output_dim, input_grad))
         return real_backward(model, cache, d_output, input_grad)
 
     objective_calls = []  # param_grads of each robustness_objective call
@@ -186,11 +186,11 @@ def test_robustness_adversary_runs_backward_only_in_ascent_steps(datasets, monke
 
     per_epoch = [True] * cfg.update_ratio + [False]
     assert objective_calls == per_epoch * cfg.epochs
-    robust = [grad for act, grad in backward_calls if act == "sigmoid"]
+    robust = [grad for width, grad in backward_calls if width == 1]
     # One validation and one training pass per ascent call, none for the
     # evaluation call, and no input gradient.
     assert robust == [False] * (2 * cfg.update_ratio * cfg.epochs)
-    fair = [grad for act, grad in backward_calls if act == "softmax"]
+    fair = [grad for width, grad in backward_calls if width > 1]
     # The fairness ascents skip the input gradient; each epoch's evaluation
     # (one DI head) needs it for the prediction gradient.
     assert fair.count(True) == cfg.epochs and fair.count(False) > 0
