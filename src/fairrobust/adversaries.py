@@ -37,7 +37,10 @@ passes for the adversary's weight and bias gradients run only with
 generator's evaluation does not. The robustness adversary's input rows do not
 depend on the predictions, so ``robustness_rows`` builds them once per run,
 together with the forward caches whose hidden-layer buffers every evaluation
-of that run reuses.
+of that run reuses. Its forward passes do not depend on the predictions
+either: an evaluation reruns them only when the adversary's parameters differ
+from those the caches were computed with, so the generator's evaluation at
+the end of an epoch and the first ascent step of the next share one pass.
 """
 
 from __future__ import annotations
@@ -260,22 +263,31 @@ def robustness_inputs(features, z, label_slot, z_cardinality: int) -> np.ndarray
     return np.hstack([features, onehot, slot])
 
 
-@dataclass(frozen=True)
+@dataclass
 class RobustnessRows:
     """The robustness adversary's input rows, which do not depend on predictions,
     held in the forward caches that every evaluation writes into.
 
     ``train.x`` holds (x_i, onehot z_i, 1) for every training row, followed by
     (x_i, onehot z_i, 0) for every training row, so one forward pass scores
-    both label slots; ``val.x`` holds (x_j, onehot z_j, y_j). Each
-    ``robustness_objective`` call computes its two forward passes, and its two
-    backward passes if any, in the hidden-layer buffers of ``train`` and
-    ``val``, so a run allocates them once; nothing that the call returns
+    both label slots; ``val.x`` holds (x_j, onehot z_j, y_j). ``params``
+    holds the bytes of each adversary parameter that ``train`` and ``val``
+    were computed with. A ``robustness_objective`` call whose
+    adversary differs from them reruns both forward passes, and each call
+    runs its backward passes if any, in the hidden-layer buffers of ``train``
+    and ``val``, so a run allocates them once; nothing that the call returns
     shares memory with them.
     """
 
     train: ForwardCache
     val: ForwardCache
+    params: list[bytes]
+
+
+def _param_bytes(model: MLPModel) -> list[bytes]:
+    """Each parameter's bytes. Equal bytes give a forward pass equal bits, and
+    the lengths of the biases and weights fix every shape."""
+    return [p.tobytes() for p in model.weights + model.biases]
 
 
 def robustness_rows(adv: MLPModel, z_cardinality: int, train_features, train_z,
@@ -292,7 +304,7 @@ def robustness_rows(adv: MLPModel, z_cardinality: int, train_features, train_z,
     x_neg = x_pos.copy()
     x_neg[:, -1] = 0.0
     return RobustnessRows(forward_with_cache(adv, np.vstack([x_pos, x_neg])),
-                          forward_with_cache(adv, x_va))
+                          forward_with_cache(adv, x_va), _param_bytes(adv))
 
 
 @dataclass(frozen=True)
@@ -370,9 +382,14 @@ class RobustnessEval:
         return Gradients(self.weight_grads, self.bias_grads, None)
 
     def label_scores(self, labels) -> np.ndarray:
-        """D(x_i, z_i, y_i): each training row scored with its own label."""
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        return self.slot_scores[np.arange(len(labels)), labels]
+        """D(x_i, z_i, y_i): each training row scored with its own label in {0, 1}."""
+        labels = np.asarray(labels).reshape(-1)
+        if len(labels) != len(self.slot_scores):
+            raise ValueError(f"{len(labels)} labels for {len(self.slot_scores)} training rows")
+        bad = labels[(labels != 0) & (labels != 1)]
+        if len(bad):
+            raise ValueError(f"label {bad[0]} is not 0 or 1")
+        return self.slot_scores[np.arange(len(labels)), labels.astype(np.int64, copy=False)]
 
 
 def fairness_objective(heads: dict[int, MLPModel], rows: FairnessRows, predictions,
@@ -437,15 +454,20 @@ def robustness_objective(adv: MLPModel, rows: RobustnessRows, train_predictions,
     [log(1 - D(., 1)) - log(1 - D(., 0))] / 2m.
 
     ``rows`` comes from ``robustness_rows``, and ``train_predictions`` holds
-    one yhat per training row. The adversary's parameter gradients are
-    computed only when ``param_grads`` is set.
+    one yhat per training row. The two forward passes rerun only when
+    ``adv``'s parameters differ from those ``rows`` last saw; the adversary's
+    parameter gradients are computed only when ``param_grads`` is set.
     """
     yhat = np.asarray(train_predictions, dtype=np.float64).reshape(-1)
     m_tr, m_va = len(yhat), len(rows.val.x)
     if len(rows.train.x) != 2 * m_tr:
         raise ValueError(f"{m_tr} predictions for {len(rows.train.x) // 2} training rows")
-    cache_tr = forward_with_cache(adv, rows.train.x, rows.train)
-    cache_va = forward_with_cache(adv, rows.val.x, rows.val)
+    params = _param_bytes(adv)
+    if params != rows.params:
+        rows.train = forward_with_cache(adv, rows.train.x, rows.train)
+        rows.val = forward_with_cache(adv, rows.val.x, rows.val)
+        rows.params = params
+    cache_tr, cache_va = rows.train, rows.val
     d_tr = cache_tr.output.ravel()
     d_pos, d_neg = d_tr[:m_tr], d_tr[m_tr:]
     d_va = cache_va.output.ravel()

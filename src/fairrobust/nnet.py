@@ -16,9 +16,19 @@ runs many passes over the same rows hands its earlier cache back to
 ``forward_with_cache``, which then writes into those two buffers instead of
 allocating new ones. At a few thousand rows each buffer is larger than the C
 allocator's mmap threshold, so a fresh one per pass is mapped, faulted in page
-by page and unmapped again. Softmax rows are reduced column by column into one
-(n,) accumulator, which for fewer than 8 columns adds in the same order as
-numpy's row reduction and so gives the same bits, at a fraction of its cost.
+by page and unmapped again.
+
+Narrow arrays: the models are a few units wide, and numpy's generic loops over
+an (n, k) array with k < 8 run an inner loop only k long. The passes below
+take other routes to the same bits:
+
+* Softmax rows are reduced column by column into one (n,) accumulator, which
+  for fewer than 8 columns adds in the same order as numpy's row reduction.
+* Column sums of a C-ordered array of 2 or more columns (the bias gradients of
+  the hidden layer and of a softmax output) are ``np.einsum('ij->j', a)``,
+  which like ``a.sum(axis=0)`` starts from +0.0 and adds the rows one by one.
+  One column keeps ``.sum(axis=0)``: there numpy sums pairwise and ``einsum``
+  does not.
 """
 
 from __future__ import annotations
@@ -101,6 +111,13 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / _row_reduce(np.add, e, 0.0)[:, None]
 
 
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` of an (n, k) array, with the same bits."""
+    if a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.einsum("ij->j", a)
+    return a.sum(axis=0)
+
+
 @dataclass
 class ForwardCache:
     """What ``backward`` needs from one forward pass.
@@ -180,15 +197,15 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
         d_logits = p * (d_output - _row_reduce(np.add, d_output * p, 0.0)[:, None])
     if spec.hidden_dim == 0:
         d_w = cache.x.T @ d_logits
-        d_b = d_logits.sum(axis=0)
+        d_b = _column_sum(d_logits)
         d_x = d_logits @ model.weights[0].T if input_grad else None
         return Gradients([d_w], [d_b], d_x)
     d_w2 = cache.hidden.T @ d_logits
-    d_b2 = d_logits.sum(axis=0)
+    d_b2 = _column_sum(d_logits)
     d_pre = np.matmul(d_logits, model.weights[1].T, out=cache.work)  # dLoss/dHidden, then in place:
     d_pre *= cache.hidden > 0  # the same mask as pre-activation > 0, NaN included
     d_w1 = cache.x.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
+    d_b1 = _column_sum(d_pre)
     d_x = d_pre @ model.weights[0].T if input_grad else None
     return Gradients([d_w1, d_w2], [d_b1, d_b2], d_x)
 

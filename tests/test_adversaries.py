@@ -1,12 +1,13 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrobust import adversaries
+from fairrobust import adversaries, benchmarks
 from fairrobust.adversaries import (
     DiscreteJoint,
     InvalidJointError,
@@ -23,6 +24,7 @@ from fairrobust.adversaries import (
 )
 from fairrobust.metrics import empirical_entropy
 from fairrobust.nnet import MLPSpec, backward, forward, forward_with_cache, init_model, sgd_step
+from fairrobust.trainer import train_fair_robust
 from gradcheck import (
     flatten_grads,
     get_flat_params,
@@ -469,6 +471,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(10, 2)), rng.integers(0, 2, 10),
                            rng.integers(0, 2, 10))
     yhat = rng.uniform(0.05, 0.95, 50)
+    setup = [(c.hidden, c.work) for c in (rows.train, rows.val)]
     caches = []
 
     def recording_forward(model, x, reuse=None):
@@ -481,20 +484,73 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     sgd_step(adv, first.adversary_grads(), -0.5)
     later = robustness_objective(adv, rows, rng.uniform(0.05, 0.95, 50))
 
-    assert len(caches) == 4  # a training and a validation pass per call
-    for call, rows_cache in ((caches[0::2], rows.train), (caches[1::2], rows.val)):
-        for cache in call:
-            assert np.shares_memory(cache.hidden, rows_cache.hidden)
-            assert np.shares_memory(cache.work, rows_cache.work)
+    assert len(caches) == 2  # the first call reuses the set-up pass, the second reruns it
+    # The rerun writes into the buffers allocated at set-up.
+    for cache, buffers in zip(caches, setup, strict=True):
+        for got, allocated in zip((cache.hidden, cache.work), buffers, strict=True):
+            assert np.shares_memory(got, allocated)
     assert later.value != first.value
 
     def arrays(ev):
         return ev.weight_grads + ev.bias_grads + [ev.prediction_grad, ev.slot_scores]
 
-    buffers = (rows.train.hidden, rows.train.work, rows.val.hidden, rows.val.work)
     for got, want in zip(arrays(first), arrays(kept), strict=True):
         assert np.array_equal(got, want)
-        assert not any(np.shares_memory(got, buffer) for buffer in buffers)
+        assert not any(np.shares_memory(got, buffer) for buffers in setup for buffer in buffers)
+
+
+def test_robustness_reruns_the_forward_pass_after_a_one_ulp_parameter_change():
+    rng = np.random.default_rng(29)
+    adv = new_robustness_adversary(2, 2, 8, seed=30)
+    x_tr, z_tr = rng.normal(size=(60, 2)), rng.integers(0, 2, 60)
+    x_va, z_va, y_va = rng.normal(size=(12, 2)), rng.integers(0, 2, 12), rng.integers(0, 2, 12)
+    yhat = rng.uniform(0.05, 0.95, 60)
+    rows = robustness_rows(adv, 2, x_tr, z_tr, x_va, z_va, y_va)
+    robustness_objective(adv, rows, yhat)
+    for p, index in ((adv.weights[0], (3, 5)), (adv.biases[1], (0,))):
+        p[index] = np.nextafter(p[index], np.inf)  # in place, as a finite difference does
+        got = robustness_objective(adv, rows, yhat)
+        want = _reference_robustness(adv, 2, x_tr, z_tr, yhat, x_va, z_va, y_va)
+        assert got.value == want["value"]
+        assert np.array_equal(got.prediction_grad, want["prediction_grad"])
+        assert np.array_equal(got.slot_scores, want["slot_scores"])
+        for key in ("weight_grads", "bias_grads"):
+            for a, b in zip(getattr(got, key), want[key], strict=True):
+                assert np.array_equal(a, b)
+
+
+def test_a_run_computes_one_robustness_forward_pair_per_parameter_state(monkeypatch):
+    train, val, _ = benchmarks.benchmark_datasets(0, 0.1)
+    cfg = replace(benchmarks.poisoned_config(0), epochs=3, pretrain_epochs=2)
+    passes = []
+
+    def counting_forward(model, x, reuse=None):
+        if model.spec.hidden_dim:  # the robustness adversary; the fairness head is linear
+            passes.append(len(x))
+        return forward_with_cache(model, x, reuse)
+
+    monkeypatch.setattr(adversaries, "forward_with_cache", counting_forward)
+    train_fair_robust(train, val, cfg)
+    # The set-up pair, then one pair after each ascent step: the evaluation at
+    # the end of an epoch and the next epoch's first ascent share theirs.
+    assert passes == [2 * len(train.labels), len(val.labels)] * (1 + cfg.update_ratio * cfg.epochs)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1], "2 labels for 3 training rows"),
+    ([0, 1, 1, 0], "4 labels for 3 training rows"),
+    ([0, -1, 1], "label -1 is not 0 or 1"),
+    ([0, 1, 2], "label 2 is not 0 or 1"),
+])
+def test_label_scores_reject_labels_of_another_length_or_outside_0_1(labels, message):
+    rng = np.random.default_rng(31)
+    adv = new_robustness_adversary(2, 2, 4, seed=32)
+    rows = robustness_rows(adv, 2, rng.normal(size=(3, 2)), [0, 1, 0], rng.normal(size=(2, 2)),
+                           [0, 1], [1, 0])
+    ev = robustness_objective(adv, rows, np.full(3, 0.5))
+    assert np.array_equal(ev.label_scores([1, 0, 1]), ev.slot_scores[[0, 1, 2], [1, 0, 1]])
+    with pytest.raises(ValueError, match=message):
+        ev.label_scores(labels)
 
 
 def test_robustness_rows_reject_a_prediction_count_mismatch():

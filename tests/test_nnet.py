@@ -11,11 +11,13 @@ from fairrobust.nnet import (
     MLPModel,
     MLPSpec,
     TrainingDivergedError,
+    _column_sum,
     _row_reduce,
     _sigmoid,
     _softmax,
     adam_step,
     backward,
+    clip_probs,
     forward,
     forward_with_cache,
     init_model,
@@ -256,6 +258,73 @@ def test_softmax_column_reductions_equal_row_reductions_bit_for_bit(k):
     assert _bits_equal(grads.weights[0], cache.x.T @ d_logits)
     assert _bits_equal(grads.biases[0], d_logits.sum(axis=0))
     assert _bits_equal(grads.inputs, d_logits @ model.weights[0].T)
+
+
+def _mixed(rng, shape):
+    """Normal values on row scales from 1e-10 to 1e10, with signed zeros mixed in."""
+    a = rng.normal(scale=rng.choice([1e-10, 1.0, 1e10], size=(shape[0], 1)), size=shape)
+    a[rng.random(shape) < 0.1] = -0.0
+    a[rng.random(shape) < 0.1] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_column_sum_equals_numpy_sum_bit_for_bit(k):
+    rng = np.random.default_rng(200 + k)
+    for n in (1, 7, 200, 1600, 3200):
+        a = _mixed(rng, (n, k))
+        if k > 1:
+            a[:, -1] = -0.0  # a column of negative zeros only
+        assert _column_sum(a).tobytes() == a.sum(axis=0).tobytes()
+
+
+def _numpy_reference(model, x, d_out):
+    """A hidden-layer network's output, activations and gradients as plain numpy expressions."""
+    (w1, w2), (b1, b2) = model.weights, model.biases
+    hidden = x @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ w2 + b2
+    if model.spec.output_dim == 1:
+        raw = _sigmoid(logits)
+        out = clip_probs(raw)
+        d_logits = d_out * raw * (1.0 - raw)
+    else:
+        out = raw = _softmax(logits)
+        d_logits = raw * (d_out - (d_out * raw).sum(axis=1, keepdims=True))
+    d_pre = d_logits @ w2.T
+    d_pre *= hidden > 0
+    grads = [x.T @ d_pre, hidden.T @ d_logits, d_pre.sum(axis=0), d_logits.sum(axis=0),
+             d_pre @ w1.T]
+    return out, hidden, grads
+
+
+@pytest.mark.parametrize("output_dim", [1, 3])
+@pytest.mark.parametrize("n", [7, 200, 3200, 16000])
+def test_hidden_layer_passes_equal_the_numpy_reference_bit_for_bit(n, output_dim):
+    rng = np.random.default_rng(n + output_dim)
+    model = init_model(MLPSpec(input_dim=5, hidden_dim=8, output_dim=output_dim), seed=n)
+    model.biases[0][...] = rng.normal(scale=0.5, size=8)
+    model.biases[1][...] = rng.normal(scale=0.5, size=output_dim)
+    model.weights[1][2] = -0.0  # zero products in dLoss/dHidden
+    x = _mixed(rng, (n, 5))
+    d_out = _mixed(rng, (n, output_dim))
+    out, hidden, want = _numpy_reference(model, x, d_out)
+
+    def check(cache):
+        assert cache.output.tobytes() == out.tobytes()
+        assert cache.hidden.tobytes() == hidden.tobytes()
+        g = backward(model, cache, d_out)
+        got = [g.weights[0], g.weights[1], g.biases[0], g.biases[1], g.inputs]
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        return cache
+
+    check(forward_with_cache(model, x))
+    # Reused buffers that held another pass's values.
+    cache = check(forward_with_cache(model, x, forward_with_cache(model, _mixed(rng, (n, 5)))))
+    with pytest.raises(ValueError):  # a reused cache covers as many rows as it was made for
+        forward_with_cache(model, x[:1], cache)
 
 
 def _masked_sigmoid(x):
