@@ -31,13 +31,15 @@ builds once per run what every fairness evaluation reads: each stratum's row
 indices and group codes, the number of kept rows and H(Z | S); an evaluation
 gathers the rows and runs each head's forward and backward pass. The
 robustness payoff always computes its value, the prediction gradient (which is
-analytic, from the forward pass) and the per-row slot scores; the two backward
-passes for the adversary's weight and bias gradients run only with
-``param_grads=True``, the default, which an ascent step needs and the
-generator's evaluation does not. The robustness adversary's input rows do not
-depend on the predictions, so ``robustness_rows`` builds them once per run,
-together with the forward caches whose hidden-layer buffers every evaluation
-of that run reuses. Its forward passes do not depend on the predictions
+analytic, from the forward pass) and the label scores, each training row
+scored with its own label; the two backward passes for the adversary's
+parameter gradients run only with ``param_grads=True``, the default, which an
+ascent step needs and the generator's evaluation does not. The robustness
+adversary's input rows do not depend on the predictions, so
+``robustness_rows`` builds them once per run from the run's training and
+validation ``Dataset``s, together with the forward caches whose hidden-layer
+buffers every evaluation of that run reuses and the position of each training
+row's own-label slot. Its forward passes do not depend on the predictions
 either: an evaluation reruns them only when the adversary's parameters differ
 from those the caches were computed with, so the generator's evaluation at
 the end of an epoch and the first ascent step of the next share one pass.
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import Dataset
 from .metrics import empirical_entropy
 from .nnet import (
     ForwardCache,
@@ -270,18 +273,20 @@ class RobustnessRows:
 
     ``train.x`` holds (x_i, onehot z_i, 1) for every training row, followed by
     (x_i, onehot z_i, 0) for every training row, so one forward pass scores
-    both label slots; ``val.x`` holds (x_j, onehot z_j, y_j). ``params``
-    holds the bytes of each adversary parameter that ``train`` and ``val``
-    were computed with. A ``robustness_objective`` call whose
-    adversary differs from them reruns both forward passes, and each call
-    runs its backward passes if any, in the hidden-layer buffers of ``train``
-    and ``val``, so a run allocates them once; nothing that the call returns
-    shares memory with them.
+    both label slots; ``own[i]`` is the position of row i's own-label slot,
+    (x_i, onehot z_i, y_i), in that pass. ``val.x`` holds
+    (x_j, onehot z_j, y_j). ``params`` holds the bytes of each adversary
+    parameter that ``train`` and ``val`` were computed with. A
+    ``robustness_objective`` call whose adversary differs from them reruns
+    both forward passes, and each call runs its backward passes if any, in
+    the hidden-layer buffers of ``train`` and ``val``, so a run allocates them
+    once; nothing that the call returns shares memory with them.
     """
 
     train: ForwardCache
     val: ForwardCache
     params: list[bytes]
+    own: np.ndarray
 
 
 def _param_bytes(model: MLPModel) -> list[bytes]:
@@ -290,21 +295,25 @@ def _param_bytes(model: MLPModel) -> list[bytes]:
     return [p.tobytes() for p in model.weights + model.biases]
 
 
-def robustness_rows(adv: MLPModel, z_cardinality: int, train_features, train_z,
-                    val_features, val_z, val_labels) -> RobustnessRows:
-    """Build the constant input rows of ``robustness_objective`` for one run."""
+def robustness_rows(adv: MLPModel, train: Dataset, val: Dataset) -> RobustnessRows:
+    """Build the constant input rows of ``robustness_objective`` for one run.
+
+    Both splits are one-hot encoded with ``train.z_cardinality`` groups.
+    """
     if adv.spec.output_dim != 1:
         raise ValueError("robustness adversary requires a scalar sigmoid output")
-    x_va = robustness_inputs(val_features, val_z, val_labels, z_cardinality)
-    if len(x_va) == 0:
+    if len(val) == 0:
         raise ValueError("validation set must be nonempty")
-    x_pos = robustness_inputs(train_features, train_z, np.ones(len(train_z)), z_cardinality)
-    if len(x_pos) == 0:
+    if len(train) == 0:
         raise ValueError("training set must be nonempty")
+    k, m = train.z_cardinality, len(train)
+    x_va = robustness_inputs(val.features, val.sensitive, val.labels, k)
+    x_pos = robustness_inputs(train.features, train.sensitive, np.ones(m), k)
     x_neg = x_pos.copy()
     x_neg[:, -1] = 0.0
     return RobustnessRows(forward_with_cache(adv, np.vstack([x_pos, x_neg])),
-                          forward_with_cache(adv, x_va), _param_bytes(adv))
+                          forward_with_cache(adv, x_va), _param_bytes(adv),
+                          np.arange(m) + m * (train.labels == 0))
 
 
 @dataclass(frozen=True)
@@ -365,31 +374,16 @@ class FairnessEval:
 class RobustnessEval:
     """One evaluation of the robustness payoff.
 
-    ``value``, ``prediction_grad`` and ``slot_scores`` come from the forward
-    pass and are always set. ``weight_grads`` and ``bias_grads`` need two
-    backward passes and are None when evaluated with ``param_grads=False``.
+    ``value``, ``prediction_grad`` and ``label_scores`` come from the forward
+    pass and are always set. ``grads``, the adversary's parameter gradients,
+    needs two backward passes and is None when evaluated with
+    ``param_grads=False``.
     """
 
     value: float
-    weight_grads: list[np.ndarray] | None
-    bias_grads: list[np.ndarray] | None
+    grads: Gradients | None
     prediction_grad: np.ndarray
-    slot_scores: np.ndarray  # (m, 2): D(x_i, z_i, 0) and D(x_i, z_i, 1) per training row
-
-    def adversary_grads(self) -> Gradients:
-        if self.weight_grads is None:
-            raise ValueError("evaluated without parameter gradients (param_grads=False)")
-        return Gradients(self.weight_grads, self.bias_grads, None)
-
-    def label_scores(self, labels) -> np.ndarray:
-        """D(x_i, z_i, y_i): each training row scored with its own label in {0, 1}."""
-        labels = np.asarray(labels).reshape(-1)
-        if len(labels) != len(self.slot_scores):
-            raise ValueError(f"{len(labels)} labels for {len(self.slot_scores)} training rows")
-        bad = labels[(labels != 0) & (labels != 1)]
-        if len(bad):
-            raise ValueError(f"label {bad[0]} is not 0 or 1")
-        return self.slot_scores[np.arange(len(labels)), labels.astype(np.int64, copy=False)]
+    label_scores: np.ndarray  # D(x_i, z_i, y_i): each training row scored with its own label
 
 
 def fairness_objective(heads: dict[int, MLPModel], rows: FairnessRows, predictions,
@@ -478,19 +472,13 @@ def robustness_objective(adv: MLPModel, rows: RobustnessRows, train_predictions,
         + float((yhat * log_pos + (1.0 - yhat) * log_neg).sum()) / (2.0 * m_tr)
         + math.log(2.0)
     )
-    weight_grads = bias_grads = None
+    grads = None
     if param_grads:
         up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
         up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
                  / (2.0 * m_tr))[:, None]
         g_va = backward(adv, cache_va, up_va, input_grad=False)
         g_tr = backward(adv, cache_tr, up_tr, input_grad=False)
-        weight_grads = [a + b for a, b in zip(g_va.weights, g_tr.weights)]
-        bias_grads = [a + b for a, b in zip(g_va.biases, g_tr.biases)]
-    return RobustnessEval(
-        value=value,
-        weight_grads=weight_grads,
-        bias_grads=bias_grads,
-        prediction_grad=(log_pos - log_neg) / (2.0 * m_tr),
-        slot_scores=np.column_stack([d_neg, d_pos]),
-    )
+        grads = Gradients([a + b for a, b in zip(g_va.weights, g_tr.weights)],
+                          [a + b for a, b in zip(g_va.biases, g_tr.biases)], None)
+    return RobustnessEval(value, grads, (log_pos - log_neg) / (2.0 * m_tr), d_tr[rows.own])

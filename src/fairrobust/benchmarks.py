@@ -39,19 +39,15 @@ def derive_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
-def benchmark_datasets(
-    seed: int,
-    poison_fraction: float = 0.0,
-    val_fraction: float = SPLIT_FRACTIONS[1],
-) -> tuple[Dataset, Dataset, Dataset]:
+def benchmark_datasets(seed: int, poison_fraction: float = 0.0
+                       ) -> tuple[Dataset, Dataset, Dataset]:
     """(train, val, test) for one benchmark seed.
 
     The validation and test parts are always clean; poisoning applies to the
     training part only.
     """
-    test_fraction = SPLIT_FRACTIONS[2]
-    fractions = (1.0 - val_fraction - test_fraction, val_fraction, test_fraction)
-    return make_datasets(seed, fractions, poison_fraction, POISON_GROUP, "degradation-surrogate")
+    return make_datasets(seed, SPLIT_FRACTIONS, poison_fraction, POISON_GROUP,
+                         "degradation-surrogate")
 
 
 def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: int,

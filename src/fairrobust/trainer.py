@@ -234,21 +234,18 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     gen = init_model(MLPSpec(input_dim=x.shape[1]), seeds[0])
     opt_gen = init_optimizer(cfg.generator_lr, gen)
 
-    heads = {}  # fairness adversary head per stratum
+    heads = {}  # one fairness head per stratum of the plan; head k seeds from child k
     fair_rows = None
     if cfg.lambda1 > 0:
-        keys = (0, 1) if cfg.fairness_criterion == "EO" else (0,)
-        children = np.random.SeedSequence(seeds[1]).spawn(len(keys))
-        heads = {key: new_fairness_adversary(train.z_cardinality,
-                                             int(child.generate_state(1)[0]))
-                 for key, child in zip(keys, children)}
         fair_rows = fairness_rows(z, _fairness_strata(cfg.fairness_criterion, y))
+        heads = {s.key: new_fairness_adversary(train.z_cardinality, int(
+                     np.random.SeedSequence(seeds[1], spawn_key=(s.key,)).generate_state(1)[0]))
+                 for s in fair_rows.strata}
     robustness = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
                                               ROBUST_HIDDEN, seeds[2])
-        rob_rows = robustness_rows(robustness, train.z_cardinality, train.features, z,
-                                   val.features, val.sensitive, val.labels)
+        rob_rows = robustness_rows(robustness, train, val)
 
     history = TrainHistory()
 
@@ -283,7 +280,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
                     sgd_step(heads[key], grads, -cfg.disc_lr)
             if robustness is not None:
                 rv = robustness_objective(robustness, rob_rows, yhat)
-                sgd_step(robustness, rv.adversary_grads(), -cfg.disc_lr)
+                sgd_step(robustness, rv.grads, -cfg.disc_lr)
 
         l_c = l_d = r_gate = float("nan")
         rv = None
@@ -297,7 +294,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
                     "re-weighting suspended while adversary payoff <= 0 "
                     "(first at payoff %.4g); weights stay 1 until it recovers", l_d)
                 suspension_warned = True
-            wt, r_gate = compute_example_weights(rv.label_scores(y), l_c, l_d,
+            wt, r_gate = compute_example_weights(rv.label_scores, l_c, l_d,
                                                  cfg.c_threshold)
             weights = w0 * wt
 

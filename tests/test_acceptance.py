@@ -208,14 +208,15 @@ def test_criterion_3_gradient_integrity():
 
         def l3(want_grads=False):
             cache = forward_with_cache(gen, x)
-            ev = robustness_objective(rob, robustness_rows(rob, 2, x, z, x_va, z_va, y_va),
+            ev = robustness_objective(rob, robustness_rows(rob, Dataset(x, z, y),
+                                                           Dataset(x_va, z_va, y_va)),
                                       cache.output.ravel())
             if not want_grads:
                 return ev.value
             gen_grads = backward(gen, cache, ev.prediction_grad[:, None])
             return np.concatenate(
                 [flatten_grads(gen_grads)]
-                + [g.ravel() for g in ev.weight_grads + ev.bias_grads])
+                + [flatten_grads(ev.grads)])
 
         worst = max(worst, _joint_check(rng, l2_di, gen, [fair], None))
         worst = max(worst, _joint_check(

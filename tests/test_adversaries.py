@@ -22,6 +22,7 @@ from fairrobust.adversaries import (
     robustness_objective,
     robustness_rows,
 )
+from fairrobust.dataset import Dataset
 from fairrobust.metrics import empirical_entropy
 from fairrobust.nnet import MLPSpec, backward, forward, forward_with_cache, init_model, sgd_step
 from fairrobust.trainer import train_fair_robust
@@ -306,8 +307,8 @@ def test_robustness_uniform_adversary_is_zero():
         p[...] = 0.0
     rng = np.random.default_rng(0)
     x_tr, z_tr, yhat = rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.uniform(0.1, 0.9, 6)
-    rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
-                           rng.integers(0, 2, 4))
+    val = Dataset(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), rng.integers(0, 2, 4))
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, np.arange(6) % 2), val)
     ev = robustness_objective(adv, rows, yhat)
     assert ev.value == pytest.approx(0.0, abs=1e-12)
 
@@ -339,22 +340,33 @@ def test_robustness_optimum_matches_exact_mi_on_discrete_fixture():
 def test_robustness_empty_validation_rejected():
     adv = new_robustness_adversary(2, 2, 4, seed=1)
     with pytest.raises(ValueError):
-        robustness_rows(adv, 2, np.zeros((3, 2)), [0, 1, 0], np.zeros((0, 2)), [], [])
+        robustness_rows(adv, Dataset(np.zeros((3, 2)), [0, 1, 0], [0, 1, 0]),
+                        Dataset(np.zeros((0, 2)), [], []))
 
 
 @pytest.mark.parametrize("train_z, val_z, val_labels, message", [
     ([0, 1, -1], [0, 1], [0, 1], "group code -1 is outside"),
     ([0, 1, 2], [0, 1], [0, 1], "group code 2 is outside"),
-    ([0, 1, 0], [0, 2], [0, 1], "group code 2 is outside"),
+    ([0, 1, 0], [0, 2], [0, 1], r"group code 2 is outside \[0, 2\)"),
     ([0, 1, 0], [0, 1], [0, 2], "label slot 2.0 is not 0 or 1"),
 ])
 def test_robustness_rows_reject_bad_group_codes_and_labels(train_z, val_z, val_labels, message):
     # A code outside [0, z_cardinality) must be named, not one-hot encoded as
     # another group (-1 as the last) or left to an IndexError, and so must a
-    # label slot other than 0 or 1.
-    adv = new_robustness_adversary(2, 2, 4, seed=1)
+    # label slot other than 0 or 1. A Dataset rejects codes outside its own
+    # cardinality and labels other than 0 or 1, so every case is checked on
+    # the raw arrays; ``robustness_rows`` encodes both splits with the
+    # training cardinality, so a validation split of more groups must fail
+    # there as well.
     with pytest.raises(ValueError, match=message):
-        robustness_rows(adv, 2, np.zeros((3, 2)), train_z, np.zeros((2, 2)), val_z, val_labels)
+        robustness_inputs(np.zeros((3, 2)), train_z, np.ones(3), 2)
+        robustness_inputs(np.zeros((2, 2)), val_z, val_labels, 2)
+    if max(val_z) >= 2:
+        adv = new_robustness_adversary(2, 2, 4, seed=1)
+        train = Dataset(np.zeros((3, 2)), train_z, [0, 1, 0])
+        val = Dataset(np.zeros((2, 2)), val_z, val_labels, z_cardinality=3)
+        with pytest.raises(ValueError, match=message):
+            robustness_rows(adv, train, val)
 
 
 def test_adversaries_reject_an_output_width_that_names_the_other_activation():
@@ -364,7 +376,8 @@ def test_adversaries_reject_an_output_width_that_names_the_other_activation():
         new_fairness_adversary(1, seed=0)
     wide = init_model(MLPSpec(input_dim=5, hidden_dim=4, output_dim=2), seed=0)
     with pytest.raises(ValueError, match="scalar sigmoid output"):
-        robustness_rows(wide, 2, np.zeros((3, 2)), [0, 1, 0], np.zeros((2, 2)), [0, 1], [0, 1])
+        robustness_rows(wide, Dataset(np.zeros((3, 2)), [0, 1, 0], [0, 1, 0]),
+                        Dataset(np.zeros((2, 2)), [0, 1], [0, 1]))
 
 
 def test_robustness_payoff_affine_in_each_prediction():
@@ -380,7 +393,7 @@ def test_robustness_payoff_affine_in_each_prediction():
     z_va = rng.integers(0, 2, 5)
     y_va = rng.integers(0, 2, 5)
 
-    rows = robustness_rows(adv, 2, x_tr, z_tr, x_va, z_va, y_va)
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, np.arange(6) % 2), Dataset(x_va, z_va, y_va))
 
     def payoff(predictions):
         return robustness_objective(adv, rows, predictions).value
@@ -399,15 +412,17 @@ def test_robustness_label_scores_use_each_rows_own_label():
     x_tr = rng.normal(size=(8, 2))
     z_tr = rng.integers(0, 2, 8)
     y_tr = rng.integers(0, 2, 8)
-    rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(4, 2)), rng.integers(0, 2, 4),
-                           rng.integers(0, 2, 4))
-    ev = robustness_objective(adv, rows, rng.uniform(0.1, 0.9, 8))
-    expected = forward(adv, robustness_inputs(x_tr, z_tr, y_tr, 2)).ravel()
-    assert np.allclose(ev.label_scores(y_tr), expected, rtol=0, atol=1e-15)
+    x_va, z_va, y_va = rng.normal(size=(4, 2)), rng.integers(0, 2, 4), rng.integers(0, 2, 4)
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, y_tr), Dataset(x_va, z_va, y_va))
+    yhat = rng.uniform(0.1, 0.9, 8)
+    ev = robustness_objective(adv, rows, yhat)
+    want = _reference_robustness(adv, 2, x_tr, z_tr, y_tr, yhat, x_va, z_va, y_va)
+    assert np.array_equal(ev.label_scores, want["label_scores"])
 
 
-def _reference_robustness(adv, z_cardinality, x_tr, z_tr, yhat, x_va, z_va, y_va):
-    """The robustness payoff with every input row rebuilt and full backward passes."""
+def _reference_robustness(adv, z_cardinality, x_tr, z_tr, y_tr, yhat, x_va, z_va, y_va):
+    """The robustness payoff with every input row rebuilt and full backward passes;
+    each training row's label score is picked from its own label's slot."""
     x_pos = robustness_inputs(x_tr, z_tr, np.ones_like(yhat), z_cardinality)
     x_va = robustness_inputs(x_va, z_va, y_va, z_cardinality)
     x_neg = x_pos.copy()
@@ -434,7 +449,7 @@ def _reference_robustness(adv, z_cardinality, x_tr, z_tr, yhat, x_va, z_va, y_va
         "weight_grads": [a + b for a, b in zip(g_va.weights, g_tr.weights)],
         "bias_grads": [a + b for a, b in zip(g_va.biases, g_tr.biases)],
         "prediction_grad": (log_pos - log_neg) / (2.0 * m_tr),
-        "slot_scores": np.column_stack([d_neg, d_pos]),
+        "label_scores": np.where(np.asarray(y_tr) == 1, d_pos, d_neg),
     }
 
 
@@ -447,29 +462,29 @@ def test_hoisted_robustness_paths_equal_reference_bit_for_bit():
     x_tr, z_tr = rng.normal(size=(m, 2)), rng.integers(0, 3, m)
     x_va, z_va, y_va = rng.normal(size=(40, 2)), rng.integers(0, 3, 40), rng.integers(0, 2, 40)
     yhat = rng.uniform(0.05, 0.95, m)
-    rows = robustness_rows(adv, 3, x_tr, z_tr, x_va, z_va, y_va)
-    ref = _reference_robustness(adv, 3, x_tr, z_tr, yhat, x_va, z_va, y_va)
+    y_tr = rng.integers(0, 2, m)
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, y_tr, z_cardinality=3),
+                           Dataset(x_va, z_va, y_va, z_cardinality=3))
+    ref = _reference_robustness(adv, 3, x_tr, z_tr, y_tr, yhat, x_va, z_va, y_va)
 
     ascent = robustness_objective(adv, rows, yhat)
     evaluation = robustness_objective(adv, rows, yhat, param_grads=False)
     for ev in (ascent, evaluation):
         assert ev.value == ref["value"]
         assert np.array_equal(ev.prediction_grad, ref["prediction_grad"])
-        assert np.array_equal(ev.slot_scores, ref["slot_scores"])
-    for key in ("weight_grads", "bias_grads"):
-        for got, want in zip(getattr(ascent, key), ref[key], strict=True):
-            assert np.array_equal(got, want)
-        assert getattr(evaluation, key) is None
-    with pytest.raises(ValueError, match="param_grads"):
-        evaluation.adversary_grads()
+        assert np.array_equal(ev.label_scores, ref["label_scores"])
+    for got, want in zip(ascent.grads.weights + ascent.grads.biases,
+                         ref["weight_grads"] + ref["bias_grads"], strict=True):
+        assert np.array_equal(got, want)
+    assert evaluation.grads is None
 
 
 def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(monkeypatch):
     rng = np.random.default_rng(27)
     adv = new_robustness_adversary(2, 2, 8, seed=28)
     x_tr, z_tr = rng.normal(size=(50, 2)), rng.integers(0, 2, 50)
-    rows = robustness_rows(adv, 2, x_tr, z_tr, rng.normal(size=(10, 2)), rng.integers(0, 2, 10),
-                           rng.integers(0, 2, 10))
+    val = Dataset(rng.normal(size=(10, 2)), rng.integers(0, 2, 10), rng.integers(0, 2, 10))
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, np.arange(50) % 2), val)
     yhat = rng.uniform(0.05, 0.95, 50)
     setup = [(c.hidden, c.work) for c in (rows.train, rows.val)]
     caches = []
@@ -481,7 +496,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     monkeypatch.setattr(adversaries, "forward_with_cache", recording_forward)
     first = robustness_objective(adv, rows, yhat)
     kept = copy.deepcopy(first)
-    sgd_step(adv, first.adversary_grads(), -0.5)
+    sgd_step(adv, first.grads, -0.5)
     later = robustness_objective(adv, rows, rng.uniform(0.05, 0.95, 50))
 
     assert len(caches) == 2  # the first call reuses the set-up pass, the second reruns it
@@ -492,7 +507,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     assert later.value != first.value
 
     def arrays(ev):
-        return ev.weight_grads + ev.bias_grads + [ev.prediction_grad, ev.slot_scores]
+        return ev.grads.weights + ev.grads.biases + [ev.prediction_grad, ev.label_scores]
 
     for got, want in zip(arrays(first), arrays(kept), strict=True):
         assert np.array_equal(got, want)
@@ -505,18 +520,19 @@ def test_robustness_reruns_the_forward_pass_after_a_one_ulp_parameter_change():
     x_tr, z_tr = rng.normal(size=(60, 2)), rng.integers(0, 2, 60)
     x_va, z_va, y_va = rng.normal(size=(12, 2)), rng.integers(0, 2, 12), rng.integers(0, 2, 12)
     yhat = rng.uniform(0.05, 0.95, 60)
-    rows = robustness_rows(adv, 2, x_tr, z_tr, x_va, z_va, y_va)
+    y_tr = np.arange(60) % 2
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, y_tr), Dataset(x_va, z_va, y_va))
     robustness_objective(adv, rows, yhat)
     for p, index in ((adv.weights[0], (3, 5)), (adv.biases[1], (0,))):
         p[index] = np.nextafter(p[index], np.inf)  # in place, as a finite difference does
         got = robustness_objective(adv, rows, yhat)
-        want = _reference_robustness(adv, 2, x_tr, z_tr, yhat, x_va, z_va, y_va)
+        want = _reference_robustness(adv, 2, x_tr, z_tr, y_tr, yhat, x_va, z_va, y_va)
         assert got.value == want["value"]
         assert np.array_equal(got.prediction_grad, want["prediction_grad"])
-        assert np.array_equal(got.slot_scores, want["slot_scores"])
-        for key in ("weight_grads", "bias_grads"):
-            for a, b in zip(getattr(got, key), want[key], strict=True):
-                assert np.array_equal(a, b)
+        assert np.array_equal(got.label_scores, want["label_scores"])
+        for a, b in zip(got.grads.weights + got.grads.biases,
+                        want["weight_grads"] + want["bias_grads"], strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_a_run_computes_one_robustness_forward_pair_per_parameter_state(monkeypatch):
@@ -536,27 +552,10 @@ def test_a_run_computes_one_robustness_forward_pair_per_parameter_state(monkeypa
     assert passes == [2 * len(train.labels), len(val.labels)] * (1 + cfg.update_ratio * cfg.epochs)
 
 
-@pytest.mark.parametrize("labels, message", [
-    ([0, 1], "2 labels for 3 training rows"),
-    ([0, 1, 1, 0], "4 labels for 3 training rows"),
-    ([0, -1, 1], "label -1 is not 0 or 1"),
-    ([0, 1, 2], "label 2 is not 0 or 1"),
-])
-def test_label_scores_reject_labels_of_another_length_or_outside_0_1(labels, message):
-    rng = np.random.default_rng(31)
-    adv = new_robustness_adversary(2, 2, 4, seed=32)
-    rows = robustness_rows(adv, 2, rng.normal(size=(3, 2)), [0, 1, 0], rng.normal(size=(2, 2)),
-                           [0, 1], [1, 0])
-    ev = robustness_objective(adv, rows, np.full(3, 0.5))
-    assert np.array_equal(ev.label_scores([1, 0, 1]), ev.slot_scores[[0, 1, 2], [1, 0, 1]])
-    with pytest.raises(ValueError, match=message):
-        ev.label_scores(labels)
-
-
 def test_robustness_rows_reject_a_prediction_count_mismatch():
     adv = new_robustness_adversary(2, 2, 4, seed=23)
-    rows = robustness_rows(adv, 2, np.zeros((5, 2)), [0, 1, 0, 1, 0], np.zeros((2, 2)),
-                           [0, 1], [1, 0])
+    rows = robustness_rows(adv, Dataset(np.zeros((5, 2)), [0, 1, 0, 1, 0], [1, 0, 1, 0, 1]),
+                           Dataset(np.zeros((2, 2)), [0, 1], [1, 0]))
     with pytest.raises(ValueError, match="4 predictions for 5 training rows"):
         robustness_objective(adv, rows, np.full(4, 0.5))
 
@@ -619,11 +618,11 @@ def test_robustness_gradients_match_finite_differences():
     x_va = rng.normal(size=(5, 2))
     z_va = rng.integers(0, 2, 5)
     y_va = rng.integers(0, 2, 5)
-    rows = robustness_rows(adv, 2, x_tr, z_tr, x_va, z_va, y_va)
+    rows = robustness_rows(adv, Dataset(x_tr, z_tr, np.arange(7) % 2), Dataset(x_va, z_va, y_va))
     ev = robustness_objective(adv, rows, yhat)
     numeric = _check_adversary_gradient(
         lambda: robustness_objective(adv, rows, yhat).value, adv)
-    analytic = np.concatenate([g.ravel() for g in ev.weight_grads + ev.bias_grads])
+    analytic = flatten_grads(ev.grads)
     assert np.abs(analytic - numeric).max() < 1e-6
 
     def f_pred(flat):

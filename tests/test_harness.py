@@ -155,7 +155,13 @@ def test_run_single_equals_benchmark_pipeline(config_fn, poison_fraction, val_fr
     spec = ExperimentSpec(seeds=[4], base=replace(config_fn(0), epochs=40),
                           synthetic=B.STANDARD_SPEC, poison_fraction=poison_fraction, **sweep)
     row = run_single(spec, spec.grid[0], 4)
-    train, val, test = B.benchmark_datasets(4, poison_fraction, val_fraction)
+    if val_fraction == 0.1:
+        train, val, test = B.benchmark_datasets(4, poison_fraction)
+    else:
+        f_test = B.SPLIT_FRACTIONS[2]
+        train, val, test = B.make_datasets(4, (1.0 - val_fraction - f_test, val_fraction, f_test),
+                                           poison_fraction, B.POISON_GROUP,
+                                           "degradation-surrogate")
     cfg = replace(config_fn(4), epochs=40)
     model = (train_logistic_baseline(train, cfg) if config_fn is B.baseline_config
              else train_fair_robust(train, val, cfg)[0])

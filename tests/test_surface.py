@@ -17,7 +17,11 @@ name that an import binds counts as used when the file loads it somewhere
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
+
+import fairrobust
+from fairrobust import benchmarks, trainer
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fairrobust"
@@ -80,3 +84,26 @@ def test_every_imported_name_is_loaded():
                     unused += [f"{path.relative_to(ROOT)}: {alias.name}" for alias in node.names
                                if (alias.asname or alias.name.split(".")[0]) not in loaded]
     assert unused == []
+
+
+def test_perfbench_tracer_installs_and_counts_epochs(monkeypatch):
+    # ``perfbench/spans.py`` wraps functions by name and marks each epoch by
+    # the probe's ``forward`` call, so renaming a wrapped name or dropping the
+    # probe breaks the benchmark's trace; this run fails on either.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    train, val, _ = benchmarks.benchmark_datasets(0, 0.1)
+    cfg = replace(benchmarks.poisoned_config(0), epochs=5, pretrain_epochs=2)
+    tracer = spans.Tracer()
+    try:
+        tracer.install(fairrobust)
+        tracer.phase = "op"
+        trainer.train_fair_robust(train, val, cfg)
+    finally:
+        tracer.phase = None
+        tracer.uninstall()
+    figures = spans.layer_metrics(tracer.spans, 1, "setup")
+    assert figures["trainer.epoch_ms"][0] > 0
+    assert (figures["adversaries.robustness_objective.calls_per_epoch"][0]
+            == cfg.update_ratio + 1)

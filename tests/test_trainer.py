@@ -220,6 +220,36 @@ def test_eo_run_builds_the_fairness_plan_once(datasets, monkeypatch):
                      + ["objective"] * ((cfg.update_ratio + 1) * cfg.epochs))
 
 
+def test_fairness_heads_follow_the_plans_strata(datasets, monkeypatch):
+    # A training split of label 1 alone has one EO stratum, so the run builds
+    # one head, keyed 1 and seeded as head 1 of a run with both labels.
+    train, val, _ = datasets
+    positives = train.subset(np.flatnonzero(train.labels == 1))
+    cfg = replace(benchmarks.eo_config(0), epochs=3, pretrain_epochs=2)
+    real_new, real_objective = trainer.new_fairness_adversary, trainer.fairness_objective
+    initial, keys = [], set()
+
+    def recording_new(z_cardinality, seed):
+        head = real_new(z_cardinality, seed)
+        initial.append([p.copy() for p in head.weights + head.biases])
+        return head
+
+    def recording_objective(heads, *args, **kwargs):
+        keys.update(heads)
+        return real_objective(heads, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "new_fairness_adversary", recording_new)
+    monkeypatch.setattr(trainer, "fairness_objective", recording_objective)
+    train_fair_robust(positives, val, cfg)
+
+    fairness_seed = np.random.SeedSequence(cfg.seed).spawn(3)[1].generate_state(1)[0]
+    child = np.random.SeedSequence(int(fairness_seed)).spawn(2)[1]
+    want = real_new(train.z_cardinality, int(child.generate_state(1)[0]))
+    assert len(initial) == 1 and keys == {1}
+    for got, expected in zip(initial[0], want.weights + want.biases, strict=True):
+        assert np.array_equal(got, expected)
+
+
 def test_validation_group_beyond_training_cardinality_is_config_error(datasets):
     train, val, _ = datasets
     sensitive = val.sensitive.copy()
