@@ -7,7 +7,6 @@ re-weighting.
 """
 
 import argparse
-import logging
 from dataclasses import replace
 
 from fairrobust import benchmarks as B
@@ -19,7 +18,6 @@ def main():
     parser.add_argument("--seeds", type=B.seed_count, default=5)
     parser.add_argument("--poison", type=float, default=0.1)
     args = parser.parse_args()
-    logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
     full = B.poisoned_config(0)

@@ -6,7 +6,6 @@ error ranges for accuracy and disparate impact on the clean test split.
 """
 
 import argparse
-import logging
 
 from fairrobust import benchmarks as B
 from fairrobust.harness import ExperimentSpec, error_range, run_checked
@@ -16,7 +15,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=B.seed_count, default=10)
     args = parser.parse_args()
-    logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
     settings = [

@@ -2,7 +2,6 @@
 """Equalized-odds training on clean synthetic data, against the logistic baseline."""
 
 import argparse
-import logging
 
 from fairrobust import benchmarks as B
 from fairrobust.harness import ExperimentSpec, run_checked
@@ -12,7 +11,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=B.seed_count, default=5)
     args = parser.parse_args()
-    logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
     methods = {"LR": B.baseline_config(0), "fair-robust (EO)": B.eo_config(0)}

@@ -2,7 +2,6 @@
 """Poison-amount sweep: full fair-robust training at 10%..40% label flipping."""
 
 import argparse
-import logging
 
 from fairrobust import benchmarks as B
 from fairrobust.harness import ExperimentSpec, run_checked
@@ -14,7 +13,6 @@ def main():
     parser.add_argument("--grid", type=float, nargs="+",
                         default=[0.10, 0.20, 0.30, 0.40])
     args = parser.parse_args()
-    logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
     spec = ExperimentSpec(seeds=seeds, base=B.poisoned_config(0), synthetic=B.STANDARD_SPEC,

@@ -8,7 +8,6 @@ down recovers accuracy.
 """
 
 import argparse
-import logging
 from dataclasses import replace
 
 from fairrobust import benchmarks as B
@@ -22,7 +21,6 @@ def main():
                         default=[0.10, 0.05, 0.001])
     parser.add_argument("--lambda2", type=float, nargs="+", default=[0.4, 0.1])
     args = parser.parse_args()
-    logging.basicConfig(level=logging.ERROR)
     seeds = list(B.BENCHMARK_SEEDS)[: args.seeds]
 
     by_lambda2 = {}

@@ -29,7 +29,8 @@ import numpy as np
 from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
 from .dataset import SyntheticSpec, load_csv
 from .poison import train_surrogate
-from .trainer import TrainConfig, evaluate_model, reject_unknown_keys, train_fair_robust
+from .trainer import (ConfigError, TrainConfig, evaluate_model, reject_unknown_keys,
+                      train_fair_robust)
 
 RUN_FIELDS = ["lambda1", "lambda2", "seed", "acc", "di", "eo0", "eo1", "eopp", "runtime_s"]
 EXTRA_FIELDS = ["sweep_axis", "grid_value", "config_hash", "status", "error"]
@@ -56,21 +57,21 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ValueError("seeds must be nonempty")
+            raise ConfigError("seeds must be nonempty")
         if not self.grid:
-            raise ValueError("grid must be nonempty")
+            raise ConfigError("grid must be nonempty")
         if self.sweep_axis not in SWEEP_AXES:
-            raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
+            raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
         has_synth = self.synthetic is not None
         has_csv = self.train_csv is not None
         if has_synth == has_csv:
-            raise ValueError("exactly one of synthetic spec or train_csv is required")
+            raise ConfigError("exactly one of synthetic spec or train_csv is required")
         if has_csv and self.test_csv is None:
-            raise ValueError("test_csv is required with train_csv")
+            raise ConfigError("test_csv is required with train_csv")
         if has_synth and (self.val_csv is not None or self.test_csv is not None):
-            raise ValueError("a synthetic spec generates every split; drop val_csv and test_csv")
+            raise ConfigError("a synthetic spec generates every split; drop val_csv and test_csv")
         if self.val_csv is not None and self.sweep_axis == "val_fraction":
-            raise ValueError("a val_fraction sweep splits validation off train_csv; drop val_csv")
+            raise ConfigError("a val_fraction sweep splits validation off train_csv; drop val_csv")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -78,16 +79,24 @@ class ExperimentSpec:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentSpec":
         """Build a spec from JSON values; ``ConfigError`` names every key that
-        neither the spec, its ``base`` nor its ``synthetic`` part reads."""
+        neither the spec, its ``base`` nor its ``synthetic`` part reads, and a
+        ``base`` or ``synthetic`` part that is not an object (``synthetic`` may
+        be null)."""
         payload = dict(payload)
+        base, synthetic = payload.get("base", {}), payload.get("synthetic")
+        if not isinstance(base, dict):
+            raise ConfigError(f"base must be a JSON object, not {json.dumps(base)}")
+        if not isinstance(synthetic, (dict, type(None))):
+            raise ConfigError(f"synthetic must be a JSON object or null, "
+                              f"not {json.dumps(synthetic)}")
         reject_unknown_keys(
             (payload, cls.__dataclass_fields__, ""),
-            (payload.get("base", {}), TrainConfig.__dataclass_fields__, "base."),
-            (payload.get("synthetic") or {}, SyntheticSpec.__dataclass_fields__, "synthetic."),
+            (base, TrainConfig.__dataclass_fields__, "base."),
+            (synthetic or {}, SyntheticSpec.__dataclass_fields__, "synthetic."),
         )
-        payload["base"] = TrainConfig(**payload.get("base", {}))
-        if payload.get("synthetic") is not None:
-            synth = dict(payload["synthetic"])
+        payload["base"] = TrainConfig(**base)
+        if synthetic is not None:
+            synth = dict(synthetic)
             for key in ("mean_neg", "cov_neg", "mean_pos", "cov_pos"):
                 if key in synth and isinstance(synth[key], list):
                     synth[key] = tuple(

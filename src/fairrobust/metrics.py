@@ -19,8 +19,9 @@ def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
     """P(prediction = 1 | z = code) for each group code.
 
     The codes are ``range(z_cardinality)`` when it is given, else those that
-    occur; group codes must be nonnegative. Each rate is a group's count of
-    positives over its size, which for 0/1 predictions is the group's mean.
+    occur; group codes must be nonnegative, and below ``z_cardinality`` when it
+    is given. Each rate is a group's count of positives over its size, which
+    for 0/1 predictions is the group's mean.
     """
     predictions = _as_int_array(predictions)
     z = _as_int_array(z)
@@ -30,6 +31,8 @@ def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
         raise UndefinedGroupError("empty input")
     if z.min() < 0:
         raise ValueError("group codes must be nonnegative")
+    if z_cardinality and z.max() >= z_cardinality:
+        raise ValueError(f"group code {z.max()} is outside [0, {z_cardinality})")
     counts = np.bincount(z, minlength=z_cardinality or 0)
     positives = np.bincount(z, weights=predictions, minlength=z_cardinality or 0)
     codes = range(z_cardinality) if z_cardinality else np.flatnonzero(counts)

@@ -48,11 +48,6 @@ logger = logging.getLogger(__name__)
 
 FAIRNESS_CRITERIA = ("DI", "EO", "EOPP")
 ROBUST_HIDDEN = 8  # hidden ReLU units of the robustness adversary
-# The fairness adversary stays frozen until the generator's probe accuracy
-# reaches UNFREEZE_ACCURACY or UNFREEZE_EPOCH_FRACTION of the epochs have
-# elapsed, whichever happens first.
-UNFREEZE_ACCURACY = 0.65
-UNFREEZE_EPOCH_FRACTION = 0.30
 
 
 class ConfigError(ValueError):
@@ -67,8 +62,7 @@ class TrainConfig:
     cross entropy is scaled by ``1 - lambda1 - lambda2``. ``update_ratio`` is
     the number of adversary ascent steps per generator step, and
     ``pretrain_epochs`` generator steps on the cross entropy alone come first.
-    The model architecture and the fairness warm-up are fixed (see the module
-    constants).
+    The model architecture is fixed (see the module constants).
     """
 
     lambda1: float = 0.0
@@ -255,11 +249,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         adam_step(gen, backward(gen, cache, (lam0 * d_l1)[:, None], input_grad=False), opt_gen)
 
     weights = w0
-    fairness_released = False
-    suspension_warned = False
-    gate_epoch = int(UNFREEZE_EPOCH_FRACTION * cfg.epochs)
-
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         probs = forward(gen, x).ravel()
         preds = decide(probs)
         probe_acc = accuracy(preds, y)
@@ -267,14 +257,11 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
             probe_di = disparate_impact(preds, z)
         except UndefinedGroupError:
             probe_di = float("nan")
-        if not fairness_released and (probe_acc >= UNFREEZE_ACCURACY
-                                      or epoch >= gate_epoch):
-            fairness_released = True
 
         cache = forward_with_cache(gen, x)
         yhat = cache.output.ravel()
         for _ in range(cfg.update_ratio):
-            if heads and fairness_released:
+            if heads:
                 ev = fairness_objective(heads, fair_rows, yhat, weights, prediction_grad=False)
                 for key, grads in ev.head_grads.items():
                     sgd_step(heads[key], grads, -cfg.disc_lr)
@@ -289,11 +276,6 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         if cfg.reweight and rv is not None:
             l_c = weighted_cross_entropy(yhat, y, w0)
             l_d = rv.value
-            if l_d <= 0.0 and not suspension_warned:
-                logger.warning(
-                    "re-weighting suspended while adversary payoff <= 0 "
-                    "(first at payoff %.4g); weights stay 1 until it recovers", l_d)
-                suspension_warned = True
             wt, r_gate = compute_example_weights(rv.label_scores, l_c, l_d,
                                                  cfg.c_threshold)
             weights = w0 * wt

@@ -7,7 +7,6 @@ criteria through session-scoped fixtures; the whole module takes about 4.5
 minutes on a 2-vCPU x86 virtual machine.
 """
 
-import logging
 import os
 import time
 from dataclasses import replace
@@ -43,8 +42,6 @@ from fairrobust.trainer import evaluate_model, train_fair_robust
 from gradcheck import flatten_grads, get_flat_params, numeric_gradient, set_flat_params
 
 pytestmark = pytest.mark.acceptance
-
-logging.disable(logging.WARNING)
 
 CLEAN_SEEDS = list(B.BENCHMARK_SEEDS)[:5]
 POISON_SEEDS = list(B.BENCHMARK_SEEDS)  # ten seeds

@@ -71,6 +71,20 @@ def test_sweep_command(tmp_path, capsys):
     assert (out_dir / "aggregates.csv").exists()
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"seeds": [0], "base": None, "synthetic": {}}, "base must be a JSON object, not null"),
+    ({"seeds": [0], "synthetic": [100]}, "synthetic must be a JSON object or null, not [100]"),
+    ({"seeds": [], "synthetic": {}}, "seeds must be nonempty"),
+], ids=["null_base", "list_synthetic", "no_seeds"])
+def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(values))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"fairrobust sweep: error: {message}\n"
+    assert not out_dir.exists()
+
+
 UNKNOWN_KEY_CONFIGS = {
     # gen-synth takes its seed from --seed only; train has no batch_size.
     "gen-synth": ({"n": 50, "seed": 3, "nn": 7}, "seed, nn"),

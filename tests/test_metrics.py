@@ -81,6 +81,8 @@ def _masked_rates(predictions, z, z_cardinality=None):
     """Reference: the mean prediction under a boolean mask per group."""
     predictions = np.asarray(predictions, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
+    if z_cardinality and z.max() >= z_cardinality:
+        raise ValueError("group code out of range")
     rates = {}
     for code in range(z_cardinality) if z_cardinality else np.unique(z):
         mask = z == code
@@ -93,8 +95,8 @@ def _masked_rates(predictions, z, z_cardinality=None):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except UndefinedGroupError:
-        return UndefinedGroupError
+    except (UndefinedGroupError, ValueError) as exc:
+        return type(exc)
 
 
 def _masked_di(predictions, z, z_cardinality=None):
@@ -106,7 +108,7 @@ def _masked_di(predictions, z, z_cardinality=None):
 
 def test_counted_rates_equal_masked_means_bit_for_bit():
     rng = np.random.default_rng(7)
-    undefined = 0
+    undefined = out_of_range = 0
     for _ in range(3000):
         n = int(rng.integers(1, 80))
         present = rng.choice(7, size=int(rng.integers(1, 5)), replace=False)  # codes with gaps
@@ -117,7 +119,9 @@ def test_counted_rates_equal_masked_means_bit_for_bit():
             assert _outcome(positive_rates, preds, z, card) == want
             assert _outcome(disparate_impact, preds, z, card) == _outcome(_masked_di, preds, z, card)
             undefined += want is UndefinedGroupError
+            out_of_range += want is ValueError
     assert undefined > 100  # the absent-group cases were exercised
+    assert out_of_range > 100  # and so were codes at or above the cardinality
 
 
 def test_positive_rates_rejects_negative_group_code():
@@ -125,6 +129,15 @@ def test_positive_rates_rejects_negative_group_code():
         positive_rates([1, 0, 1], [0, -1, 1])
     with pytest.raises(ValueError, match="nonnegative"):
         disparate_impact([1, 0, 1], [0, -1, 1], z_cardinality=2)
+
+
+def test_group_code_at_or_above_the_cardinality_is_named():
+    # Group 2's rate is 0, so dropping it would report a fair 1.0.
+    with pytest.raises(ValueError, match=r"group code 2 is outside \[0, 2\)"):
+        disparate_impact([1, 1, 0], [0, 1, 2], 2)
+    with pytest.raises(ValueError, match=r"group code 2 is outside \[0, 2\)"):
+        equalized_odds([1, 1, 0, 1], [0, 1, 2, 0], [1, 1, 0, 0], 2)
+    assert disparate_impact([1, 1, 0], [0, 1, 2], 3) == 0.0
 
 
 def test_equalized_odds_equal_conditional_rates():

@@ -302,12 +302,15 @@ def golden_datasets(seed):
     return train, val
 
 
-def golden_run(criterion, seed):
+def golden_config(criterion, seed):
+    return replace(benchmarks.poisoned_config(seed), fairness_criterion=criterion,
+                   epochs=40, pretrain_epochs=10)
+
+
+def fingerprint_run(train, val, cfg):
     """sha256 of all history columns and final generator parameters, plus a
     fingerprint: each column's index-weighted sum followed by the parameters."""
-    cfg = replace(benchmarks.poisoned_config(seed), fairness_criterion=criterion,
-                  epochs=40, pretrain_epochs=10)
-    model, hist = train_fair_robust(*golden_datasets(seed), cfg)
+    model, hist = train_fair_robust(train, val, cfg)
     cols = np.array([getattr(hist, c) for c in HISTORY_COLUMNS])
     params = get_flat_params(model)
     digest = hashlib.sha256(cols.tobytes() + params.tobytes()).hexdigest()
@@ -316,14 +319,47 @@ def golden_run(criterion, seed):
 
 
 GOLDEN = {
-    ('DI', 0): [732.2263575113644, -10.814213679181082, 16.29180516355312, 732.2263575188764, 16.29180516355312, 819.9999999808299, 389.45875, 659.6697783065677, -0.26015236345789333, 0.4101451233900105, 0.5904367303540982, -0.908690490948115, 0.05780784327451192],
-    ('EO', 0): [742.8404323623536, -18.201276412741556, 17.00045325387317, 742.8404323712075, 17.00045325387317, 819.9999999777044, 385.726875, 673.2700760061558, -0.2771446219191438, 0.4326222723689097, 0.577950837029488, -0.9025873583915992, 0.06966760121390991],
-    ('EOPP', 0): [686.1625615929257, -3.5310082459256327, 5.929753241906672, 686.1625615929257, 5.929753241906672, 820.0, 486.61812499999996, 440.06929849636134, -0.22750511154075323, 0.8195267150284175, 0.6093996841366104, -0.9004248537861085, -0.16573471593383465],
+    ('DI', 0): [723.842948404498, 0.6998469845049279, 16.612032634805747, 723.8429484296564, 16.612032634805747, 819.999999934045, 391.78937500000006, 624.9177741790097, -0.2612463969064796, 0.40982804924732164, 0.6006843157430104, -0.9035119363068846, -0.1570350555788815],
+    ('EO', 0): [725.003940915891, 0.1377186338532101, 16.10532886728253, 725.0039409236739, 16.10532886728253, 819.9999999796904, 395.273125, 650.0563651683755, -0.2682021842067181, 0.4538097341051314, 0.5807094561814096, -0.9009071280621824, -0.08927926257962854],
+    ('EOPP', 0): [680.7278456718005, -2.333622338980747, 6.629726433629165, 680.7278456718005, 6.629726433629165, 820.0, 483.209375, 431.89171648594163, -0.2257949461602508, 0.794099069324457, 0.6188479024814264, -0.8995384910760782, -0.31666175609169245],
 }
 
 
 @pytest.mark.parametrize("criterion,seed", sorted(GOLDEN))
 def test_golden_history_and_parameters(criterion, seed):
-    digest, fingerprint = golden_run(criterion, seed)
+    digest, fingerprint = fingerprint_run(*golden_datasets(seed), golden_config(criterion, seed))
     print(f"golden {criterion} seed={seed} sha256 {digest}")
     np.testing.assert_allclose(fingerprint, GOLDEN[criterion, seed], rtol=1e-9, atol=0)
+
+
+# Full 2000-epoch runs of the tuned configs on benchmark seed 0:
+# (config, poison fraction, fingerprint).
+STANDARD = {
+    "eo_config clean": (benchmarks.eo_config, 0.0, [628988.0328040927, 3214.430277744188, 38753.021109018635, 628988.4965000288, 38753.021109018635, 2000997.249858219, 1724677.26375, 1132859.1350006792, 0.4072673687890506, 0.9419823460411987, 0.48585529053549426, -0.6257403097307673, 0.005410432373278346]),
+    "poisoned_config 10%": (benchmarks.poisoned_config, 0.1, [1231211.4412603255, 4937.722045745137, 106053.98378989857, 1231234.1233911484, 106053.98378989857, 2000943.2508772032, 1410111.3043749998, 1683052.339931807, 0.30144284425298706, 0.37165343871345247, 0.31333241558422387, -0.8289147721658391, -0.002742780273499529]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD))
+def test_standard_run_history_and_parameters(name):
+    make_config, poison_fraction, want = STANDARD[name]
+    train, val, _ = benchmarks.benchmark_datasets(0, poison_fraction)
+    digest, fingerprint = fingerprint_run(train, val, make_config(0))
+    print(f"standard {name} sha256 {digest}")
+    np.testing.assert_allclose(fingerprint, want, rtol=1e-9, atol=0)
+
+
+def test_fairness_heads_ascend_from_the_first_epoch(monkeypatch):
+    # Every epoch takes update_ratio ascent steps of the fairness heads, also
+    # in a short run whose probe accuracy stays low.
+    cfg = golden_config("DI", 0)
+    real_objective = trainer.fairness_objective
+    ascents = []
+
+    def counting_objective(*args, prediction_grad=True, **kwargs):
+        ascents.append(not prediction_grad)
+        return real_objective(*args, prediction_grad=prediction_grad, **kwargs)
+
+    monkeypatch.setattr(trainer, "fairness_objective", counting_objective)
+    train_fair_robust(*golden_datasets(0), cfg)
+    assert sum(ascents) == cfg.epochs * cfg.update_ratio
