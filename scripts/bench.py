@@ -3,6 +3,7 @@
 
     python3 scripts/bench.py --seeds 0 1 2 3 4 --out BENCH_6.json
     python3 scripts/bench.py --checkout ../parent --seeds 0 --out BENCH_5.json --append
+    python3 scripts/bench.py --out BENCH_7.json --compare parent.json
 
 For each seed, and each workload in the checkout's BENCHMARK.json, this runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in the
@@ -13,6 +14,13 @@ workload and metric the median and the quartiles over the runs that exited
 cleanly. ``--append`` adds the runs to those already in ``--out`` when they
 measured the same commit and diff, so that two checkouts can be measured in
 alternation; write ``--out`` outside the checkout's tracked files.
+
+``--compare PARENT.json`` then pairs the runs in ``--out`` with those of
+``PARENT.json`` by seed and prints, per workload and end-to-end metric, the
+ratio of the medians (``--out`` over parent), the parent's interquartile range
+as a share of its median, the gap between the medians in units of that range
+(positive when ``--out`` is better) and the number of pairs that ``--out``
+won. Without ``--seeds`` nothing is run, and only the comparison is printed.
 """
 
 import argparse
@@ -45,13 +53,45 @@ def summarize(runs) -> dict:
     return out
 
 
+def compare(change: dict, parent: dict, better: dict[str, str]) -> list[str]:
+    """One line per workload and metric of both reports: the median ratio, the
+    parent's interquartile range, the median gap in its units and the pairs won."""
+    lines = []
+    for name, entry in change["workloads"].items():
+        base = parent["workloads"].get(name)
+        if base is None:
+            continue
+        ours = {r["seed"]: r["result"]["metrics"] for r in entry["runs"] if "result" in r}
+        theirs = {r["seed"]: r["result"]["metrics"] for r in base["runs"] if "result" in r}
+        for metric, sense in better.items():
+            pairs = [(ours[s][metric]["value"], theirs[s][metric]["value"])
+                     for s in sorted(ours.keys() & theirs.keys())]
+            if not pairs or metric not in base["summary"] or metric not in entry["summary"]:
+                continue
+            sign = 1.0 if sense == "higher" else -1.0
+            won = sum(sign * (a - b) > 0 for a, b in pairs)
+            p, c = base["summary"][metric], entry["summary"][metric]
+            iqr = p["q3"] - p["q1"]
+            gap = sign * (c["median"] - p["median"])
+            lines.append(f"{name} {metric}: {p['median']:.4g} -> {c['median']:.4g} "
+                         f"({c['median'] / p['median']:.3f}x), parent IQR "
+                         f"{iqr / p['median']:.1%} of its median, gap "
+                         + (f"{gap / iqr:+.2f} IQR" if iqr else "n/a")
+                         + f", won {won} of {len(pairs)} pairs")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[])
     parser.add_argument("--out", required=True)
     parser.add_argument("--checkout", default=ROOT, help="source checkout to measure")
     parser.add_argument("--append", action="store_true")
+    parser.add_argument("--compare", metavar="PARENT.json",
+                        help="compare the runs in --out with these, paired by seed")
     args = parser.parse_args()
+    if not args.seeds and not args.compare:
+        parser.error("give --seeds to run, --compare to compare, or both")
 
     checkout = os.path.abspath(args.checkout)
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -88,6 +128,13 @@ def main() -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=1)
                 fh.write("\n")
+    if args.compare:
+        with open(args.out, encoding="utf-8") as fh:
+            change = json.load(fh)
+        with open(args.compare, encoding="utf-8") as fh:
+            parent = json.load(fh)
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        print("\n".join(compare(change, parent, better)))
     return 0
 
 

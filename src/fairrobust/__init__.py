@@ -30,7 +30,7 @@ from .metrics import (
     empirical_entropy,
     equalized_odds,
 )
-from .nnet import MLPModel, MLPSpec, OptimizerState, forward, weighted_cross_entropy
+from .nnet import CrossEntropy, MLPModel, MLPSpec, OptimizerState, forward
 from .adversaries import (
     DiscreteJoint,
     fairness_objective,

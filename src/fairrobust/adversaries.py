@@ -275,8 +275,8 @@ class RobustnessRows:
     (x_i, onehot z_i, 0) for every training row, so one forward pass scores
     both label slots; ``own[i]`` is the position of row i's own-label slot,
     (x_i, onehot z_i, y_i), in that pass. ``val.x`` holds
-    (x_j, onehot z_j, y_j). ``params`` holds the bytes of each adversary
-    parameter that ``train`` and ``val`` were computed with. A
+    (x_j, onehot z_j, y_j). ``params`` holds the bytes of the adversary's
+    parameter vector that ``train`` and ``val`` were computed with. A
     ``robustness_objective`` call whose adversary differs from them reruns
     both forward passes, and each call runs its backward passes if any, in
     the hidden-layer buffers of ``train`` and ``val``, so a run allocates them
@@ -285,14 +285,14 @@ class RobustnessRows:
 
     train: ForwardCache
     val: ForwardCache
-    params: list[bytes]
+    params: bytes
     own: np.ndarray
 
 
-def _param_bytes(model: MLPModel) -> list[bytes]:
-    """Each parameter's bytes. Equal bytes give a forward pass equal bits, and
-    the lengths of the biases and weights fix every shape."""
-    return [p.tobytes() for p in model.weights + model.biases]
+def _param_bytes(model: MLPModel) -> bytes:
+    """The bytes of the parameter vector. Equal bytes give a forward pass of a
+    model of one spec equal bits."""
+    return model.params.tobytes()
 
 
 def robustness_rows(adv: MLPModel, train: Dataset, val: Dataset) -> RobustnessRows:

@@ -15,18 +15,29 @@ def _as_int_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).reshape(-1)
 
 
-def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
-    """P(prediction = 1 | z = code) for each group code.
+@dataclass(frozen=True)
+class GroupPlan:
+    """The groups of a fixed set of rows, checked and counted once.
+
+    ``codes`` are the groups whose rates are reported, in increasing order.
+    ``order`` lists the rows group by group in that order, ``starts`` is where
+    each group begins in it and ``sizes`` how many rows it has, never 0.
+    """
+
+    codes: list[int]
+    order: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def group_plan(z, z_cardinality=None) -> GroupPlan:
+    """The plan of every positive rate over rows with group codes ``z``.
 
     The codes are ``range(z_cardinality)`` when it is given, else those that
     occur; group codes must be nonnegative, and below ``z_cardinality`` when it
-    is given. Each rate is a group's count of positives over its size, which
-    for 0/1 predictions is the group's mean.
+    is given, and every reported group must have a row.
     """
-    predictions = _as_int_array(predictions)
     z = _as_int_array(z)
-    if len(predictions) != len(z):
-        raise ValueError("predictions and z must have equal length")
     if len(z) == 0:
         raise UndefinedGroupError("empty input")
     if z.min() < 0:
@@ -34,14 +45,34 @@ def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
     if z_cardinality and z.max() >= z_cardinality:
         raise ValueError(f"group code {z.max()} is outside [0, {z_cardinality})")
     counts = np.bincount(z, minlength=z_cardinality or 0)
-    positives = np.bincount(z, weights=predictions, minlength=z_cardinality or 0)
-    codes = range(z_cardinality) if z_cardinality else np.flatnonzero(counts)
-    rates = {}
-    for code in codes:
-        if counts[code] == 0:
-            raise UndefinedGroupError(f"group {int(code)} absent")
-        rates[int(code)] = float(positives[code] / counts[code])
-    return rates
+    codes = np.arange(z_cardinality) if z_cardinality else np.flatnonzero(counts)
+    absent = codes[counts[codes] == 0]
+    if len(absent):
+        raise UndefinedGroupError(f"group {int(absent[0])} absent")
+    sizes = counts[codes]
+    return GroupPlan(codes.tolist(), np.argsort(z, kind="stable"),
+                     np.cumsum(sizes) - sizes, sizes)
+
+
+def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
+    """P(prediction = 1 | z = code) for each group code.
+
+    ``z`` holds the group codes, checked as ``group_plan`` checks them, or is a
+    ``GroupPlan`` built once for rows whose codes do not change. Each rate is a
+    group's count of positives over its size, which for 0/1 predictions is the
+    group's mean.
+    """
+    if isinstance(z, GroupPlan):
+        if z_cardinality is not None:
+            raise ValueError("a GroupPlan carries its own cardinality")
+        plan = z
+    else:
+        plan = group_plan(z, z_cardinality)
+    predictions = _as_int_array(predictions)
+    if len(predictions) != len(plan.order):
+        raise ValueError("predictions and z must have equal length")
+    positives = np.add.reduceat(predictions[plan.order], plan.starts)
+    return dict(zip(plan.codes, (positives / plan.sizes).tolist()))
 
 
 def _rate_ratio(a: float, b: float) -> float:
@@ -57,7 +88,8 @@ def _rate_ratio(a: float, b: float) -> float:
 def disparate_impact(predictions, z, z_cardinality=None) -> float:
     """Minimum pairwise ratio of groupwise positive-prediction rates; 1 is fair.
 
-    With more than two groups, the minimum runs over all pairs.
+    With more than two groups, the minimum runs over all pairs. ``z`` is as in
+    ``positive_rates``.
     """
     rates = list(positive_rates(predictions, z, z_cardinality).values())
     if len(rates) < 2:
@@ -90,13 +122,15 @@ def equalized_odds(predictions, z, labels, z_cardinality=None) -> dict[int, floa
 
 
 def accuracy(predictions, labels) -> float:
+    """The share of correct predictions: their count over the number of rows,
+    which is the mean of ``predictions == labels``."""
     predictions = _as_int_array(predictions)
     labels = _as_int_array(labels)
     if len(predictions) != len(labels):
         raise ValueError("predictions and labels must have equal length")
     if len(labels) == 0:
         raise ValueError("empty input")
-    return float((predictions == labels).mean())
+    return np.count_nonzero(predictions == labels) / len(labels)
 
 
 def confusion_by_group(predictions, labels, z) -> dict[int, np.ndarray]:

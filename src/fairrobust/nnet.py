@@ -29,13 +29,22 @@ take other routes to the same bits:
   which like ``a.sum(axis=0)`` starts from +0.0 and adds the rows one by one.
   One column keeps ``.sum(axis=0)``: there numpy sums pairwise and ``einsum``
   does not.
+
+Parameters: a model keeps all its parameters in one float64 vector,
+``MLPModel.params``, in ``weights + biases`` order, and ``weights`` and
+``biases`` are views into it. Every constructor builds them so: ``init_model``,
+``load_model`` and ``MLPModel(spec, weights, biases)``, which copies the arrays
+it is given. An optimizer step is one update of the whole vector, and Adam's
+moments are one vector each. So a parameter is changed in place
+(``model.weights[0][...] = w``), never rebound: a rebound list entry is no
+longer part of the model the optimizers step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -61,8 +70,23 @@ class MLPSpec:
 @dataclass
 class MLPModel:
     spec: MLPSpec
-    weights: list[np.ndarray]  # per layer, shape (fan_in, fan_out)
-    biases: list[np.ndarray]
+    weights: list[np.ndarray]  # per layer, shape (fan_in, fan_out); views into params
+    biases: list[np.ndarray]  # per layer, shape (fan_out,); views into params
+    params: np.ndarray = field(init=False, repr=False)  # every parameter, weights first
+
+    def __post_init__(self):
+        arrays = [np.asarray(p, dtype=np.float64) for p in self.weights + self.biases]
+        self.params = np.concatenate([p.ravel() for p in arrays])
+        views, offset = [], 0
+        for p in arrays:
+            views.append(self.params[offset:offset + p.size].reshape(p.shape))
+            offset += p.size
+        self.weights, self.biases = views[:len(self.weights)], views[len(self.weights):]
+
+    def __reduce__(self):
+        # Pickled and copied through the constructor, so a copy's weights and
+        # biases are views into its own vector.
+        return MLPModel, (self.spec, self.weights, self.biases)
 
 
 def init_model(spec: MLPSpec, seed: int) -> MLPModel:
@@ -82,14 +106,20 @@ def init_model(spec: MLPSpec, seed: int) -> MLPModel:
 
 
 def clip_probs(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    """``np.clip(p, PROB_EPS, 1 - PROB_EPS)``, NaN kept, without its wrapper's cost."""
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    e = np.copysign(x, -1.0)  # -|x|, with the bits of -np.abs(x)
+    np.exp(e, out=e)
+    d = e + 1.0
+    # The numerator, in place: e^-|x| <= 1, so max(e^-|x|, x >= 0) is 1 for
+    # x >= 0 and e^-|x| below (NaN stays NaN).
+    np.maximum(e, x >= 0, out=e)
+    e /= d
+    return e
 
 
 def _row_reduce(ufunc, a: np.ndarray, initial: float) -> np.ndarray:
@@ -210,34 +240,48 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
     return Gradients([d_w1, d_w2], [d_b1, d_b2], d_x)
 
 
-def weighted_cross_entropy(probs, labels, weights=None) -> float:
-    """(1/m) sum_i w_i * [-y_i log p_i - (1-y_i) log(1-p_i)], in nats.
+class CrossEntropy:
+    """Binary cross entropy of a batch of probabilities against 0/1 labels, in nats.
 
-    The normalizer is the batch size m, not the weight total.
+    The probabilities are clamped as ``forward`` clamps them, and the per-row
+    losses -y log p - (1-y) log(1-p) are computed once, so every weighting of
+    the batch shares them. ``value(w)`` is (1/m) sum_i w_i loss_i, normalized
+    by the batch size m and not by the weight total, and ``grad(w)`` is its
+    derivative in the probabilities, a length-m vector. Labels and weights
+    hold one value per row; no weights means all ones.
     """
-    return weighted_cross_entropy_grad(probs, labels, weights)[0]
 
+    def __init__(self, probs, labels):
+        self.p = clip_probs(np.asarray(probs, dtype=np.float64).reshape(-1))
+        self.y = np.asarray(labels, dtype=np.float64).reshape(-1)
+        if len(self.y) != len(self.p):
+            raise ValueError("probs, labels and weights must have equal length")
+        self.q = 1.0 - self.p
+        self.rows = -self.y * np.log(self.p) - (1.0 - self.y) * np.log(self.q)
 
-def weighted_cross_entropy_grad(probs, labels, weights=None) -> tuple[float, np.ndarray]:
-    """Loss value and dLoss/dProbs (a length-m vector); one label and weight per row."""
-    p = clip_probs(np.asarray(probs, dtype=np.float64).reshape(-1))
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    m = len(p)
-    w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    if len(y) != m or len(w) != m:
-        raise ValueError("probs, labels and weights must have equal length")
-    value = float((w * (-y * np.log(p) - (1.0 - y) * np.log(1.0 - p))).mean())
-    grad = w / m * (p - y) / (p * (1.0 - p))
-    return value, grad
+    def _weights(self, weights) -> np.ndarray:
+        if weights is None:
+            return np.ones_like(self.p)
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if len(w) != len(self.p):
+            raise ValueError("probs, labels and weights must have equal length")
+        return w
+
+    def value(self, weights=None) -> float:
+        # The sum over the count is how ``ndarray.mean`` computes the mean.
+        return float((self._weights(weights) * self.rows).sum() / len(self.p))
+
+    def grad(self, weights=None) -> np.ndarray:
+        return self._weights(weights) / len(self.p) * (self.p - self.y) / (self.p * self.q)
 
 
 @dataclass
 class OptimizerState:
-    """Adam's moment estimates for one model's parameters."""
+    """Adam's moment estimates for one model's parameter vector."""
 
     learning_rate: float
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     def __post_init__(self):
@@ -246,36 +290,45 @@ class OptimizerState:
 
 
 def init_optimizer(learning_rate: float, model: MLPModel) -> OptimizerState:
-    params = model.weights + model.biases
-    return OptimizerState(learning_rate, [np.zeros_like(p) for p in params],
-                          [np.zeros_like(p) for p in params])
+    return OptimizerState(learning_rate, np.zeros_like(model.params),
+                          np.zeros_like(model.params))
 
 
-def _check_finite(grads: Gradients) -> None:
-    for g in grads.weights + grads.biases:
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError("non-finite gradient")
+def _flat_grads(model: MLPModel, grads: Gradients) -> np.ndarray:
+    """The gradients as one vector in the order of ``model.params``; raises
+    ``TrainingDivergedError`` if any is non-finite."""
+    g = np.concatenate([a.ravel() for a in grads.weights + grads.biases])
+    if g.shape != model.params.shape:
+        raise ValueError(f"{g.size} gradients for {model.params.size} parameters")
+    if not np.isfinite(g).all():
+        raise TrainingDivergedError("non-finite gradient")
+    return g
 
 
 def sgd_step(model: MLPModel, grads: Gradients, step: float) -> None:
     """p -= step * g for every parameter; a negative step ascends."""
-    _check_finite(grads)
-    for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
-        p -= step * g
+    model.params -= step * _flat_grads(model, grads)
 
 
 def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
-    _check_finite(grads)
+    """One Adam step; each element takes the float operations of the textbook
+    form m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr * m_hat / (sqrt(v_hat) + eps), some of them in place."""
+    g = _flat_grads(model, grads)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    params = model.weights + model.biases
-    glist = grads.weights + grads.biases
-    for i, (p, g) in enumerate(zip(params, glist)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g**2
-        m_hat = state.m[i] / (1 - b1**state.t)
-        v_hat = state.v[i] / (1 - b2**state.t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * (g * g)
+    step = m / (1 - b1**state.t)
+    step *= state.learning_rate
+    denom = v / (1 - b2**state.t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    model.params -= step
 
 
 def save_model(model: MLPModel, path) -> None:

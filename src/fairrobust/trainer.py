@@ -28,8 +28,16 @@ from .adversaries import (
     robustness_rows,
 )
 from .dataset import Dataset
-from .metrics import MetricsReport, UndefinedGroupError, accuracy, compute_report, disparate_impact
+from .metrics import (
+    MetricsReport,
+    UndefinedGroupError,
+    accuracy,
+    compute_report,
+    disparate_impact,
+    group_plan,
+)
 from .nnet import (
+    CrossEntropy,
     MLPModel,
     MLPSpec,
     TrainingDivergedError,
@@ -40,8 +48,6 @@ from .nnet import (
     init_model,
     init_optimizer,
     sgd_step,
-    weighted_cross_entropy,
-    weighted_cross_entropy_grad,
 )
 
 logger = logging.getLogger(__name__)
@@ -223,6 +229,8 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
 
     z, y, w0 = train.sensitive, train.labels, train.weights
     x = _augment(train.features, z, train.z_cardinality)
+    y_float = y.astype(np.float64)
+    groups = group_plan(z)  # the probe's groups, checked and counted once
     lam0 = 1.0 - cfg.lambda1 - cfg.lambda2
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
     gen = init_model(MLPSpec(input_dim=x.shape[1]), seeds[0])
@@ -245,7 +253,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
 
     for _ in range(cfg.pretrain_epochs):
         cache = forward_with_cache(gen, x)
-        _, d_l1 = weighted_cross_entropy_grad(cache.output.ravel(), y, w0)
+        d_l1 = CrossEntropy(cache.output.ravel(), y_float).grad(w0)
         adam_step(gen, backward(gen, cache, (lam0 * d_l1)[:, None], input_grad=False), opt_gen)
 
     weights = w0
@@ -254,7 +262,7 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         preds = decide(probs)
         probe_acc = accuracy(preds, y)
         try:
-            probe_di = disparate_impact(preds, z)
+            probe_di = disparate_impact(preds, groups)
         except UndefinedGroupError:
             probe_di = float("nan")
 
@@ -273,14 +281,15 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
         rv = None
         if robustness is not None:
             rv = robustness_objective(robustness, rob_rows, yhat, param_grads=False)
+        ce = CrossEntropy(yhat, y_float)  # l_c and l1 share its per-row losses
         if cfg.reweight and rv is not None:
-            l_c = weighted_cross_entropy(yhat, y, w0)
+            l_c = ce.value(w0)
             l_d = rv.value
             wt, r_gate = compute_example_weights(rv.label_scores, l_c, l_d,
                                                  cfg.c_threshold)
             weights = w0 * wt
 
-        l1, d_l1 = weighted_cross_entropy_grad(yhat, y, weights)
+        l1, d_l1 = ce.value(weights), ce.grad(weights)
         d_total = lam0 * d_l1
         l2 = 0.0
         if heads:

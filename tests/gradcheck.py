@@ -15,7 +15,7 @@ from fairrobust.adversaries import (
     _table_payoff,
 )
 from fairrobust.metrics import empirical_entropy
-from fairrobust.nnet import Gradients, MLPModel, backward, forward_with_cache
+from fairrobust.nnet import CrossEntropy, Gradients, MLPModel, backward, forward_with_cache
 
 
 def get_flat_params(model: MLPModel) -> np.ndarray:
@@ -33,6 +33,15 @@ def set_flat_params(model: MLPModel, flat: np.ndarray) -> None:
 
 def flatten_grads(grads: Gradients) -> np.ndarray:
     return np.concatenate([g.ravel() for g in grads.weights + grads.biases])
+
+
+def weighted_cross_entropy(probs, labels, weights=None) -> float:
+    return CrossEntropy(probs, labels).value(weights)
+
+
+def weighted_cross_entropy_grad(probs, labels, weights=None) -> tuple[float, np.ndarray]:
+    loss = CrossEntropy(probs, labels)
+    return loss.value(weights), loss.grad(weights)
 
 
 def numeric_gradient(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:

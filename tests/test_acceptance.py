@@ -34,12 +34,17 @@ from fairrobust.nnet import (
     forward,
     forward_with_cache,
     init_model,
-    weighted_cross_entropy,
-    weighted_cross_entropy_grad,
 )
 from fairrobust.poison import PoisonSpec, flip_labels
 from fairrobust.trainer import evaluate_model, train_fair_robust
-from gradcheck import flatten_grads, get_flat_params, numeric_gradient, set_flat_params
+from gradcheck import (
+    flatten_grads,
+    get_flat_params,
+    numeric_gradient,
+    set_flat_params,
+    weighted_cross_entropy,
+    weighted_cross_entropy_grad,
+)
 
 pytestmark = pytest.mark.acceptance
 

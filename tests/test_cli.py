@@ -75,7 +75,15 @@ def test_sweep_command(tmp_path, capsys):
     ({"seeds": [0], "base": None, "synthetic": {}}, "base must be a JSON object, not null"),
     ({"seeds": [0], "synthetic": [100]}, "synthetic must be a JSON object or null, not [100]"),
     ({"seeds": [], "synthetic": {}}, "seeds must be nonempty"),
-], ids=["null_base", "list_synthetic", "no_seeds"])
+    ({"seeds": 5, "synthetic": {}}, "seeds must be a list, not 5"),
+    ({"seeds": [0, "1"], "synthetic": {}}, 'seeds must be a list of integers, not [0, "1"]'),
+    ({"seeds": [0], "synthetic": {}, "split_fractions": 3}, "split_fractions must be a list, not 3"),
+    ({"seeds": [0], "synthetic": {}, "base": {"epochs": "x"}},
+     'base.epochs must be an integer, not "x"'),
+    ({"seeds": [0], "synthetic": {"n": "x"}}, 'synthetic.n must be an integer, not "x"'),
+    ([{"seeds": [0], "synthetic": {}}], "a sweep spec must be a JSON object, not list"),
+], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
+        "int_split_fractions", "string_epochs", "string_n", "list_spec"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))

@@ -14,6 +14,7 @@ from fairrobust.metrics import (
     disparate_impact,
     empirical_entropy,
     equalized_odds,
+    group_plan,
     positive_rates,
 )
 
@@ -122,6 +123,51 @@ def test_counted_rates_equal_masked_means_bit_for_bit():
             out_of_range += want is ValueError
     assert undefined > 100  # the absent-group cases were exercised
     assert out_of_range > 100  # and so were codes at or above the cardinality
+
+
+def test_plan_rates_equal_the_array_form_bit_for_bit():
+    # A plan built once per run gives the bits of the per-call masked means,
+    # and ``accuracy`` those of ``(predictions == labels).mean()``.
+    rng = np.random.default_rng(8)
+    cases = 0
+    for groups in (2, 3):
+        for kind in ("random", "no positives in group 0", "all positive"):
+            for _ in range(200):
+                n = int(rng.integers(groups, 300))
+                z = np.concatenate([np.arange(groups), rng.integers(0, groups, n - groups)])
+                rng.shuffle(z)
+                preds = (rng.random(n) < rng.random()).astype(np.int64)
+                if kind == "all positive":
+                    preds[:] = 1
+                elif kind.startswith("no positives"):
+                    preds[z == 0] = 0
+                labels = rng.integers(0, 2, n)
+                for card in (None, groups):
+                    plan = group_plan(z, card)
+                    assert positive_rates(preds, plan) == _masked_rates(preds, z, card)
+                    assert positive_rates(preds, plan) == positive_rates(preds, z, card)
+                    got, want = disparate_impact(preds, plan), _masked_di(preds, z, card)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert accuracy(preds, labels) == float((preds == labels).mean())
+                cases += 1
+    assert cases == 1200
+
+
+def test_plan_checks_group_codes_once_and_keeps_its_cardinality():
+    with pytest.raises(ValueError, match="nonnegative"):
+        group_plan([0, -1, 1])
+    with pytest.raises(ValueError, match=r"group code 2 is outside \[0, 2\)"):
+        group_plan([0, 1, 2], 2)
+    with pytest.raises(UndefinedGroupError, match="group 1 absent"):
+        group_plan([0, 2, 2], 3)
+    plan = group_plan([0, 2, 2, 0])
+    assert plan.codes == [0, 2] and positive_rates([1, 1, 0, 0], plan) == {0: 0.5, 2: 0.5}
+    with pytest.raises(ValueError, match="carries its own cardinality"):
+        disparate_impact([1, 1, 0, 0], plan, 3)
+    with pytest.raises(ValueError, match="equal length"):
+        disparate_impact([1, 1, 0], plan)
+    with pytest.raises(UndefinedGroupError, match="at least two groups"):
+        disparate_impact([1, 0], group_plan([1, 1]))
 
 
 def test_positive_rates_rejects_negative_group_code():

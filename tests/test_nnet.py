@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,10 +27,15 @@ from fairrobust.nnet import (
     load_model,
     save_model,
     sgd_step,
+)
+from gradcheck import (
+    flatten_grads,
+    get_flat_params,
+    numeric_gradient,
+    set_flat_params,
     weighted_cross_entropy,
     weighted_cross_entropy_grad,
 )
-from gradcheck import flatten_grads, get_flat_params, numeric_gradient, set_flat_params
 
 
 def _zeroed(spec):
@@ -413,3 +420,98 @@ def test_old_model_files_that_would_change_meaning_are_rejected(tmp_path, output
     path.write_text(json.dumps(_old_format_payload(model, hidden, output, **extra)))
     with pytest.raises(ValueError, match=message):
         load_model(path)
+
+
+# The three kinds of network that training steps: the generator, a 2-group
+# fairness head and the robustness adversary (4 parameter arrays).
+STEPPED_SPECS = [MLPSpec(input_dim=11), MLPSpec(input_dim=1, output_dim=2),
+                 MLPSpec(input_dim=12, hidden_dim=8)]
+
+
+def _constructed(spec, how, tmp_path):
+    model = init_model(spec, seed=20)
+    if how == "load_model":
+        save_model(model, tmp_path / "model.json")
+        return load_model(tmp_path / "model.json")
+    if how == "MLPModel":
+        return MLPModel(spec, [w.tolist() for w in model.weights], [b.copy() for b in model.biases])
+    if how == "pickle":
+        return pickle.loads(pickle.dumps(model))
+    if how == "deepcopy":
+        return copy.deepcopy(model)
+    return model
+
+
+@pytest.mark.parametrize("spec", STEPPED_SPECS)
+@pytest.mark.parametrize("how", ["init_model", "load_model", "MLPModel", "pickle", "deepcopy"])
+def test_weights_and_biases_are_views_into_one_parameter_vector(tmp_path, spec, how):
+    model = _constructed(spec, how, tmp_path)
+    want = init_model(spec, seed=20)
+    arrays = model.weights + model.biases
+    assert len(model.weights) == len(model.biases) == (2 if spec.hidden_dim else 1)
+    assert model.params.dtype == np.float64 and model.params.ndim == 1
+    assert np.array_equal(model.params, np.concatenate([p.ravel() for p in arrays]))
+    for got, expected in zip(arrays, want.weights + want.biases, strict=True):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert np.shares_memory(got, model.params)
+    model.params[-1] += 1.0  # a step over the vector moves the views
+    assert model.biases[-1][-1] == want.biases[-1][-1] + 1.0
+
+
+def _reference_sgd(params, grads, step):
+    for p, g in zip(params, grads):
+        p -= step * g
+
+
+def _reference_adam(params, grads, m, v, t, lr):
+    """The per-array Adam step of the textbook form."""
+    b1, b2 = 0.9, 0.999
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g**2
+        m_hat = m[i] / (1 - b1**t)
+        v_hat = v[i] / (1 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@pytest.mark.parametrize("spec", STEPPED_SPECS)
+def test_optimizer_steps_equal_a_per_array_reference_bit_for_bit(spec):
+    rng = np.random.default_rng(21)
+    sgd_model, adam_model = init_model(spec, seed=22), init_model(spec, seed=22)
+    ref_sgd = [p.copy() for p in sgd_model.weights + sgd_model.biases]
+    ref_adam = [p.copy() for p in ref_sgd]
+    m, v = [np.zeros_like(p) for p in ref_adam], [np.zeros_like(p) for p in ref_adam]
+    state = init_optimizer(0.01, adam_model)
+    for t in range(1, 6):
+        x = rng.normal(size=(40, spec.input_dim))
+        d_out = rng.normal(size=(40, spec.output_dim)) * 10.0**rng.integers(-3, 3)
+        grads = backward(sgd_model, forward_with_cache(sgd_model, x), d_out, input_grad=False)
+        arrays = grads.weights + grads.biases
+        sgd_step(sgd_model, grads, -0.05)
+        _reference_sgd(ref_sgd, arrays, -0.05)
+        adam_step(adam_model, grads, state)
+        _reference_adam(ref_adam, arrays, m, v, t, 0.01)
+        for model, ref in ((sgd_model, ref_sgd), (adam_model, ref_adam)):
+            assert get_flat_params(model).tobytes() == get_flat_params(
+                MLPModel(spec, ref[:len(model.weights)], ref[len(model.weights):])).tobytes()
+        assert state.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+        assert state.t == t
+
+
+@pytest.mark.parametrize("spec", STEPPED_SPECS)
+def test_nonfinite_gradient_changes_no_parameter_or_moment(spec):
+    rng = np.random.default_rng(23)
+    model = init_model(spec, seed=24)
+    state = init_optimizer(0.01, model)
+    cache = forward_with_cache(model, rng.normal(size=(30, spec.input_dim)))
+    adam_step(model, backward(model, cache, rng.normal(size=cache.output.shape)), state)
+    bad = backward(model, cache, rng.normal(size=cache.output.shape))
+    bad.biases[-1][-1] = np.nan  # only the last parameter's gradient
+    before = (model.params.copy(), state.m.copy(), state.v.copy(), state.t)
+    for step in (lambda: sgd_step(model, bad, 0.1), lambda: adam_step(model, bad, state)):
+        with pytest.raises(TrainingDivergedError):
+            step()
+        after = (model.params, state.m, state.v, state.t)
+        assert all(np.array_equal(a, b) for a, b in zip(before[:3], after[:3]))
+        assert state.t == before[3]

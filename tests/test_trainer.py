@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrobust import adversaries, benchmarks, trainer
+from fairrobust import adversaries, benchmarks, poison, trainer
 from fairrobust.dataset import DataError, Dataset, SyntheticSpec, generate_synthetic, split
 from fairrobust.metrics import disparate_impact
 from fairrobust.nnet import MLPSpec, init_model
@@ -136,6 +137,15 @@ def test_history_length_matches_epochs(datasets):
     _, hist = train_fair_robust(train, val, cfg)
     assert len(hist) == 25
     assert len(hist.probe_di) == 25
+
+
+def test_one_group_training_split_records_a_nan_probe_di(datasets):
+    train, _, _ = datasets
+    one_group = train.subset(np.flatnonzero(train.sensitive == 0))
+    assert one_group.z_cardinality == 2
+    _, hist = train_fair_robust(one_group, None, small_config(epochs=5, pretrain_epochs=1))
+    assert len(hist) == 5 and all(math.isnan(di) for di in hist.probe_di)
+    assert all(0.0 <= acc <= 1.0 for acc in hist.probe_accuracy)
 
 
 def test_lambda2_requires_validation(datasets):
@@ -307,15 +317,17 @@ def golden_config(criterion, seed):
                    epochs=40, pretrain_epochs=10)
 
 
-def fingerprint_run(train, val, cfg):
+def fingerprint(model, hist):
     """sha256 of all history columns and final generator parameters, plus a
     fingerprint: each column's index-weighted sum followed by the parameters."""
-    model, hist = train_fair_robust(train, val, cfg)
     cols = np.array([getattr(hist, c) for c in HISTORY_COLUMNS])
     params = get_flat_params(model)
     digest = hashlib.sha256(cols.tobytes() + params.tobytes()).hexdigest()
-    fingerprint = np.concatenate([cols @ np.arange(1, cols.shape[1] + 1), params])
-    return digest, fingerprint
+    return digest, np.concatenate([cols @ np.arange(1, cols.shape[1] + 1), params])
+
+
+def fingerprint_run(train, val, cfg):
+    return fingerprint(*train_fair_robust(train, val, cfg))
 
 
 GOLDEN = {
@@ -332,19 +344,48 @@ def test_golden_history_and_parameters(criterion, seed):
     np.testing.assert_allclose(fingerprint, GOLDEN[criterion, seed], rtol=1e-9, atol=0)
 
 
-# Full 2000-epoch runs of the tuned configs on benchmark seed 0:
-# (config, poison fraction, fingerprint).
+def fair_robust_run(make_config, poison_fraction):
+    train, val, _ = benchmarks.benchmark_datasets(0, poison_fraction)
+    return fingerprint_run(train, val, make_config(0))
+
+
+def logistic_run(fit, poison_fraction):
+    """Fingerprint of the one training run that ``fit(train)`` makes on the
+    benchmark's training split; its history is recorded from the run."""
+    train, _, _ = benchmarks.benchmark_datasets(0, poison_fraction)
+    real, runs = trainer.train_fair_robust, []
+
+    def recording(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "train_fair_robust", recording)
+        model = fit(train)
+    [(run_model, hist)] = runs
+    assert run_model is model
+    return fingerprint(model, hist)
+
+
+# Full runs on benchmark seed 0: the tuned configs for 2000 epochs, the
+# logistic baseline on the 10% poisoned split, and the 800-epoch surrogate
+# that poisoning ranks rows with, on the clean split (name: (run, fingerprint)).
 STANDARD = {
-    "eo_config clean": (benchmarks.eo_config, 0.0, [628988.0328040927, 3214.430277744188, 38753.021109018635, 628988.4965000288, 38753.021109018635, 2000997.249858219, 1724677.26375, 1132859.1350006792, 0.4072673687890506, 0.9419823460411987, 0.48585529053549426, -0.6257403097307673, 0.005410432373278346]),
-    "poisoned_config 10%": (benchmarks.poisoned_config, 0.1, [1231211.4412603255, 4937.722045745137, 106053.98378989857, 1231234.1233911484, 106053.98378989857, 2000943.2508772032, 1410111.3043749998, 1683052.339931807, 0.30144284425298706, 0.37165343871345247, 0.31333241558422387, -0.8289147721658391, -0.002742780273499529]),
+    "eo_config clean": (functools.partial(fair_robust_run, benchmarks.eo_config, 0.0), [628988.0328040927, 3214.430277744188, 38753.021109018635, 628988.4965000288, 38753.021109018635, 2000997.249858219, 1724677.26375, 1132859.1350006792, 0.4072673687890506, 0.9419823460411987, 0.48585529053549426, -0.6257403097307673, 0.005410432373278346]),
+    "poisoned_config 10%": (functools.partial(fair_robust_run, benchmarks.poisoned_config, 0.1), [1231211.4412603255, 4937.722045745137, 106053.98378989857, 1231234.1233911484, 106053.98378989857, 2000943.2508772032, 1410111.3043749998, 1683052.339931807, 0.30144284425298706, 0.37165343871345247, 0.31333241558422387, -0.8289147721658391, -0.002742780273499529]),
+    "baseline_config 10%": (functools.partial(
+        logistic_run, lambda train: train_logistic_baseline(train, benchmarks.baseline_config(0)),
+        0.1), [1131009.0953294034, 0.0, 0.0, math.nan, math.nan, math.nan, 1434155.52875, 897697.7327632637, 0.2189483981519773, 0.1819385937297375, -0.3315306345286216, -0.1252170087158236, -0.24573447515509247]),
+    "surrogate clean": (functools.partial(
+        logistic_run, lambda train: poison.train_surrogate(train, benchmarks.derive_seed(0, 2)),
+        0.0), [94353.99785328319, 0.0, 0.0, math.nan, math.nan, math.nan, 279274.83749999997, 135895.45298225863, 0.37710065584136754, 0.9117607968564729, 0.121530237341195, 0.30591733473536453, -0.25584614511143494]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STANDARD))
 def test_standard_run_history_and_parameters(name):
-    make_config, poison_fraction, want = STANDARD[name]
-    train, val, _ = benchmarks.benchmark_datasets(0, poison_fraction)
-    digest, fingerprint = fingerprint_run(train, val, make_config(0))
+    run, want = STANDARD[name]
+    digest, fingerprint = run()
     print(f"standard {name} sha256 {digest}")
     np.testing.assert_allclose(fingerprint, want, rtol=1e-9, atol=0)
 
