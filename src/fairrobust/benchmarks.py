@@ -70,7 +70,7 @@ def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: in
             train, val, _ = split(train, fractions, derive_seed(seed, 1))
     if poison_fraction > 0:
         spec = PoisonSpec(
-            target_group=poison_group,
+            group=poison_group,
             fraction=poison_fraction,
             strategy=poison_strategy,
             seed=derive_seed(seed, 2),

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: gen-synth, poison, train, sweep, metrics, aggregate-crowd,
-verify-mi. Each accepts ``--config FILE`` (JSON) plus flag overrides; flags win
-over file values. A config key that the subcommand does not read, or any other
-``ConfigError``, exits with code 2 and the error on stderr.
+verify-mi. gen-synth, poison, train and sweep accept ``--config FILE``, a JSON
+object that ``trainer.from_json`` reads into ``SyntheticSpec``, ``PoisonSpec``,
+``TrainConfig`` or ``ExperimentSpec``; the first three also take those fields
+as flags, which win over file values. A key that no field reads, a value of
+the wrong JSON type, any other ``ConfigError`` and bad data (``DataError``)
+exit with code 2 and the error on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .adversaries import DiscreteJoint, oracle_deviations
 from .dataset import (
+    DataError,
     SyntheticSpec,
     aggregate_crowd_labels,
     filter_workers,
@@ -28,26 +32,24 @@ from .dataset import (
 from .harness import ExperimentSpec, run_experiment
 from .nnet import load_model, save_model
 from .poison import PoisonSpec, flip_labels
-from .trainer import ConfigError, TrainConfig, evaluate_model, reject_unknown_keys, train_fair_robust
-
-_POISON_KEYS = ("group", "fraction", "strategy", "seed")
+from .trainer import ConfigError, TrainConfig, evaluate_model, from_json, train_fair_robust
 
 
-def _load_config(path, known=None) -> dict:
-    """JSON values of ``path`` ({} without one); with ``known``, a key outside
-    it raises ``ConfigError``."""
+def _load_config(path):
+    """JSON values of ``path``, or {} without one."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        values = json.load(fh)
-    if known is not None:
-        reject_unknown_keys((values, known, ""))
-    return values
+        return json.load(fh)
 
 
-def _merged(file_values: dict, args: argparse.Namespace, keys) -> dict:
-    """File values first, then any explicitly-passed flags on top."""
-    out = dict(file_values)
+def _merged(file_values, args: argparse.Namespace, keys, **defaults):
+    """``defaults``, then the file values, then any explicitly-passed flags on
+    top; file values that are not an object are left for ``from_json`` to
+    reject."""
+    if not isinstance(file_values, dict):
+        return file_values
+    out = {**defaults, **file_values}
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
@@ -56,9 +58,8 @@ def _merged(file_values: dict, args: argparse.Namespace, keys) -> dict:
 
 
 def _cmd_gen_synth(args) -> int:
-    values = _merged(_load_config(args.config, SyntheticSpec.__dataclass_fields__), args,
-                     ["n", "label_prior", "rotation_angle"])
-    spec = SyntheticSpec(**values)
+    values = _merged(_load_config(args.config), args, ["n", "label_prior", "rotation_angle"])
+    spec = from_json(SyntheticSpec, values, "a gen-synth config")
     ds = generate_synthetic(spec, args.seed)
     save_csv(ds, args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
@@ -66,26 +67,18 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_poison(args) -> int:
-    values = _merged(_load_config(args.config, _POISON_KEYS), args, _POISON_KEYS)
-    ds = load_csv(args.data)
-    spec = PoisonSpec(
-        target_group=int(values.get("group", 1)),
-        fraction=float(values.get("fraction", 0.1)),
-        strategy=values.get("strategy", "degradation-surrogate"),
-        seed=int(values.get("seed", 0)),
-    )
-    poisoned, flipped = flip_labels(ds, spec)
+    values = _merged(_load_config(args.config), args, PoisonSpec.__dataclass_fields__,
+                     group=1, fraction=0.1)
+    spec = from_json(PoisonSpec, values, "a poison config")
+    poisoned, flipped = flip_labels(load_csv(args.data), spec)
     save_csv(poisoned, args.out)
-    print(f"flipped {len(flipped)} labels in group {spec.target_group}; wrote {args.out}")
+    print(f"flipped {len(flipped)} labels in group {spec.group}; wrote {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    known = TrainConfig.__dataclass_fields__
-    values = _merged(_load_config(args.config, known), args, known)
-    if args.no_reweight:
-        values["reweight"] = False
-    cfg = TrainConfig(**values)
+    values = _merged(_load_config(args.config), args, TrainConfig.__dataclass_fields__)
+    cfg = from_json(TrainConfig, values, "a train config")
     train = load_csv(args.train)
     val = load_csv(args.val) if args.val else None
     model, history = train_fair_robust(train, val, cfg)
@@ -100,7 +93,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = ExperimentSpec.from_json_dict(_load_config(args.config))
+    spec = from_json(ExperimentSpec, _load_config(args.config), "a sweep spec")
     rows, _ = run_experiment(spec, out_dir=args.out_dir, jobs=args.jobs)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows) - len(failed)}/{len(rows)} runs succeeded; reports in {args.out_dir}")
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test")
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--history-out", dest="history_out")
-    p.add_argument("--no-reweight", action="store_true")
+    p.add_argument("--no-reweight", dest="reweight", action="store_const", const=False)
     for f in fields(TrainConfig):
         if f.name != "reweight":  # set by --no-reweight
             p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
@@ -232,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         print(f"fairrobust {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from itertools import repeat
 
 import numpy as np
@@ -29,8 +29,7 @@ import numpy as np
 from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
 from .dataset import SyntheticSpec, load_csv
 from .poison import train_surrogate
-from .trainer import (ConfigError, TrainConfig, evaluate_model, reject_unknown_keys,
-                      train_fair_robust)
+from .trainer import ConfigError, TrainConfig, evaluate_model, train_fair_robust
 
 RUN_FIELDS = ["lambda1", "lambda2", "seed", "acc", "di", "eo0", "eo1", "eopp", "runtime_s"]
 EXTRA_FIELDS = ["sweep_axis", "grid_value", "config_hash", "status", "error"]
@@ -75,86 +74,6 @@ class ExperimentSpec:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ExperimentSpec":
-        """Build a spec from JSON values; ``ConfigError`` names every key that
-        neither the spec, its ``base`` nor its ``synthetic`` part reads, a
-        ``base`` or ``synthetic`` part that is not an object (``synthetic`` may
-        be null), and the first value of the wrong JSON type."""
-        if not isinstance(payload, dict):
-            raise ConfigError(f"a sweep spec must be a JSON object, not "
-                              f"{type(payload).__name__}")
-        payload = dict(payload)
-        base, synthetic = payload.get("base", {}), payload.get("synthetic")
-        if not isinstance(base, dict):
-            raise ConfigError(f"base must be a JSON object, not {json.dumps(base)}")
-        if not isinstance(synthetic, (dict, type(None))):
-            raise ConfigError(f"synthetic must be a JSON object or null, "
-                              f"not {json.dumps(synthetic)}")
-        reject_unknown_keys(
-            (payload, cls.__dataclass_fields__, ""),
-            (base, TrainConfig.__dataclass_fields__, "base."),
-            (synthetic or {}, SyntheticSpec.__dataclass_fields__, "synthetic."),
-        )
-        _check_json_types(cls, {k: v for k, v in payload.items()
-                                if k not in ("base", "synthetic")}, "")
-        _check_json_types(TrainConfig, base, "base.")
-        _check_json_types(SyntheticSpec, synthetic or {}, "synthetic.")
-        payload["base"] = TrainConfig(**base)
-        if synthetic is not None:
-            synth = dict(synthetic)
-            for key in ("mean_neg", "cov_neg", "mean_pos", "cov_pos"):
-                if key in synth and isinstance(synth[key], list):
-                    synth[key] = tuple(
-                        tuple(v) if isinstance(v, list) else v for v in synth[key]
-                    )
-            payload["synthetic"] = SyntheticSpec(**synth)
-        if "split_fractions" in payload:
-            payload["split_fractions"] = tuple(payload["split_fractions"])
-        return cls(**payload)
-
-
-def _check_json_types(cls, values: dict, prefix: str) -> None:
-    """Raise ``ConfigError`` for the first value that does not have the JSON
-    type of the ``cls`` field it sets, judged by the field's default: true or
-    false, an integer, a number, a string, a string or null for a default of
-    None, or a list for a tuple or list (the spec's ``seeds`` is a list of
-    integers and its other lists hold numbers)."""
-    for f in fields(cls):
-        if f.name not in values:
-            continue
-        value = values[f.name]
-        default = (f.default if f.default is not MISSING else
-                   f.default_factory() if f.default_factory is not MISSING else [])
-        items = None
-        if isinstance(default, bool):
-            ok, kind = isinstance(value, bool), "true or false"
-        elif isinstance(default, int):
-            ok, kind = _is_int(value), "an integer"
-        elif isinstance(default, float):
-            ok, kind = _is_number(value), "a number"
-        elif isinstance(default, str):
-            ok, kind = isinstance(value, str), "a string"
-        elif default is None:
-            ok, kind = isinstance(value, (str, type(None))), "a string or null"
-        else:
-            ok, kind = isinstance(value, list), "a list"
-            if cls is ExperimentSpec and ok:
-                items = (_is_int, "integers") if f.name == "seeds" else (_is_number, "numbers")
-        if not ok:
-            raise ConfigError(f"{prefix}{f.name} must be {kind}, not {json.dumps(value)}")
-        if items and not all(map(items[0], value)):
-            raise ConfigError(f"{prefix}{f.name} must be a list of {items[1]}, "
-                              f"not {json.dumps(value)}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def config_hash(payload: dict) -> str:

@@ -7,10 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
+from .trainer import (ConfigError, TrainConfig, model_inputs, predict,
+                      train_logistic_baseline)
 
 
-class PoisonBudgetError(ValueError):
+class PoisonBudgetError(DataError):
     """Requested flips exceed the target group's size."""
 
 
@@ -23,16 +25,16 @@ class PoisonSpec:
     deterministic choices; ``random`` flips uniformly within the group.
     """
 
-    target_group: int
+    group: int
     fraction: float
     strategy: str = "degradation-surrogate"
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must lie in [0, 1]")
+            raise ConfigError("fraction must lie in [0, 1]")
         if self.strategy not in ("degradation-surrogate", "random"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 
 def train_surrogate(d: Dataset, seed: int):
@@ -42,8 +44,6 @@ def train_surrogate(d: Dataset, seed: int):
     unless it is handed one; a caller that poisons one dataset at several
     fractions can train it once and pass it to every call.
     """
-    from .trainer import TrainConfig, train_logistic_baseline
-
     cfg = TrainConfig(epochs=800, pretrain_epochs=0, generator_lr=0.05, reweight=False, seed=seed)
     return train_logistic_baseline(d, cfg)
 
@@ -58,10 +58,10 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
     """
     n = len(d)
     n_flips = int(math.ceil(spec.fraction * n))
-    group_idx = np.flatnonzero(d.sensitive == spec.target_group)
+    group_idx = np.flatnonzero(d.sensitive == spec.group)
     if n_flips > len(group_idx):
         raise PoisonBudgetError(
-            f"{n_flips} flips requested but group {spec.target_group} has only "
+            f"{n_flips} flips requested but group {spec.group} has only "
             f"{len(group_idx)} examples"
         )
     if n_flips == 0:
@@ -73,8 +73,6 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
         rng = np.random.default_rng(spec.seed)
         chosen = rng.choice(group_idx, size=n_flips, replace=False)
     else:
-        from .trainer import model_inputs, predict
-
         if reference_model is None:
             reference_model = train_surrogate(d, spec.seed)
         group = d.subset(group_idx)

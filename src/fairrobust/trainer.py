@@ -13,9 +13,11 @@ label, gated by the relative performance of classifier and adversary.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -98,16 +100,90 @@ class TrainConfig:
             raise ConfigError("update_ratio must be >= 1")
 
 
-def reject_unknown_keys(*sections) -> None:
-    """Raise ``ConfigError`` naming every config key that nothing reads.
+# JSON kind of a bool, int, float or str field, alone and as list items.
+_JSON_KINDS = {bool: ("true or false", "booleans"), int: ("an integer", "integers"),
+               float: ("a number", "numbers"), str: ("a string", "strings")}
 
-    Each section is (payload dict, the keys that are read, prefix for the
-    message).
+
+def from_json(cls, values, what: str = "a config"):
+    """Build the dataclass ``cls`` from JSON ``values``, typed by its fields.
+
+    ``ConfigError`` first names every key that no field reads, then those of
+    each nested object (as ``base.epochs``). It then names the first value, in
+    field order, whose JSON type does not fit its field's type: true or false
+    for ``bool``, an integer but not a bool for ``int``, a number for
+    ``float``, a string for ``str``, also null for ``X | None``, a list for a
+    list or tuple (of integers or numbers when the type says so), and an
+    object for a dataclass, which is read the same way. Lists become tuples,
+    at every depth, where the field is a tuple; every other value passes
+    unchanged, so an integer for a ``float`` field stays an integer. ``what``
+    names ``values`` when it is not an object.
     """
-    unknown = [prefix + key for payload, known, prefix in sections
-               for key in payload if key not in known]
+    if not isinstance(values, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(values).__name__}")
+    unknown = _unknown_keys(cls, values, "")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return _from_json_object(cls, values, "")
+
+
+def _unknown_keys(cls, values: dict, prefix: str) -> list[str]:
+    hints = get_type_hints(cls)
+    unknown = [prefix + key for key in values if key not in hints]
+    for name, hint in hints.items():
+        hint, _ = _nullable(hint)
+        if is_dataclass(hint) and isinstance(values.get(name), dict):
+            unknown += _unknown_keys(hint, values[name], f"{prefix}{name}.")
+    return unknown
+
+
+def _from_json_object(cls, values: dict, prefix: str):
+    hints = get_type_hints(cls)
+    return cls(**{name: _from_json_value(hint, values[name], prefix + name)
+                  for name, hint in hints.items() if name in values})
+
+
+def _from_json_value(hint, value, name: str):
+    """``value`` of the field ``name``, whose type is ``hint``, checked and rebuilt."""
+    hint, nullable = _nullable(hint)
+    if value is None and nullable:
+        return None
+    origin = get_origin(hint) or hint
+    if is_dataclass(hint):
+        ok, kind = isinstance(value, dict), "a JSON object"
+    elif origin in (list, tuple):
+        ok, kind = isinstance(value, list), "a list"
+    else:
+        ok, kind = _fits(hint, value), _JSON_KINDS[hint][0]
+    if not ok:
+        or_null = " or null" if nullable else ""
+        raise ConfigError(f"{name} must be {kind}{or_null}, not {json.dumps(value)}")
+    if is_dataclass(hint):
+        return _from_json_object(hint, value, name + ".")
+    item = get_args(hint)[:1]
+    if item and not all(_fits(item[0], v) for v in value):
+        raise ConfigError(f"{name} must be a list of {_JSON_KINDS[item[0]][1]}, "
+                          f"not {json.dumps(value)}")
+    return _tuples(value) if origin is tuple else value
+
+
+def _nullable(hint):
+    """(``X``, True) for the type ``X | None``, else (``hint``, False)."""
+    args = get_args(hint)
+    if type(None) not in args:
+        return hint, False
+    (inner,) = [arg for arg in args if arg is not type(None)]
+    return inner, True
+
+
+def _fits(kind: type, value) -> bool:
+    """Whether ``value`` has the JSON type of a ``kind`` field; a bool is no number."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool)))
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 @dataclass

@@ -82,8 +82,12 @@ def test_sweep_command(tmp_path, capsys):
      'base.epochs must be an integer, not "x"'),
     ({"seeds": [0], "synthetic": {"n": "x"}}, 'synthetic.n must be an integer, not "x"'),
     ([{"seeds": [0], "synthetic": {}}], "a sweep spec must be a JSON object, not list"),
+    ({"seeds": [0], "synthetic": {"n": -1}}, "n must be nonnegative"),
+    ({"seeds": [0], "synthetic": {"cov_neg": [[1, 2], [2, 1]]}},
+     "cov_neg must be positive-definite"),
 ], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
-        "int_split_fractions", "string_epochs", "string_n", "list_spec"])
+        "int_split_fractions", "string_epochs", "string_n", "list_spec", "negative_n",
+        "indefinite_cov_neg"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
@@ -104,11 +108,11 @@ UNKNOWN_KEY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(UNKNOWN_KEY_CONFIGS))
-def test_unknown_config_keys_exit_2_and_are_named(tmp_path, capsys, command):
+def _run_with_config(tmp_path, capsys, command, values, flags=()):
+    """Runs ``command`` with ``values`` as its --config file (and ``flags``);
+    returns the exit code, the captured output and the path it writes to."""
     data = tmp_path / "data.csv"
     main(["gen-synth", "--n", "60", "--seed", "1", "--out", str(data)])
-    values, named = UNKNOWN_KEY_CONFIGS[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
     out = tmp_path / "out"
@@ -117,10 +121,66 @@ def test_unknown_config_keys_exit_2_and_are_named(tmp_path, capsys, command):
             "train": ["--train", str(data), "--model-out", str(out)],
             "sweep": ["--out-dir", str(out)]}[command]
     capsys.readouterr()
-    assert main([command, "--config", str(cfg)] + argv) == 2
-    captured = capsys.readouterr()
+    rc = main([command, "--config", str(cfg), *argv, *flags])
+    return rc, capsys.readouterr(), out
+
+
+@pytest.mark.parametrize("command", sorted(UNKNOWN_KEY_CONFIGS))
+def test_unknown_config_keys_exit_2_and_are_named(tmp_path, capsys, command):
+    values, named = UNKNOWN_KEY_CONFIGS[command]
+    rc, captured, out = _run_with_config(tmp_path, capsys, command, values)
+    assert rc == 2
     assert captured.err == f"fairrobust {command}: error: unknown config keys: {named}\n"
     assert captured.out == "" and not out.exists()
+
+
+WRONG_TYPE_CONFIGS = [
+    ("train", {"reweight": "no"}, 'reweight must be true or false, not "no"'),
+    ("train", {"epochs": True}, "epochs must be an integer, not true"),
+    ("train", {"epochs": "x"}, 'epochs must be an integer, not "x"'),
+    ("train", {"lambda1": None}, "lambda1 must be a number, not null"),
+    ("train", [1], "a train config must be a JSON object, not list"),
+    ("gen-synth", {"n": "x"}, 'n must be an integer, not "x"'),
+    ("gen-synth", {"mean_neg": 2}, "mean_neg must be a list, not 2"),
+    ("gen-synth", [1], "a gen-synth config must be a JSON object, not list"),
+    ("poison", {"fraction": "x"}, 'fraction must be a number, not "x"'),
+    ("poison", {"group": 1.0}, "group must be an integer, not 1.0"),
+    ("poison", [1], "a poison config must be a JSON object, not list"),
+]
+
+
+@pytest.mark.parametrize("command, values, message", WRONG_TYPE_CONFIGS,
+                         ids=[f"{c}-{json.dumps(v)}" for c, v, _ in WRONG_TYPE_CONFIGS])
+def test_wrongly_typed_config_exits_2_and_names_the_field(tmp_path, capsys, command, values,
+                                                          message):
+    rc, captured, out = _run_with_config(tmp_path, capsys, command, values)
+    assert rc == 2
+    assert captured.err == f"fairrobust {command}: error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, values, flags, message", [
+    ("gen-synth", {}, ["--n", "-1"], "n must be nonnegative"),
+    ("poison", {}, ["--fraction", "2"], "fraction must lie in [0, 1]"),
+    ("poison", {"group": 1}, ["--fraction", "0.9"],
+     "54 flips requested but group 1 has only"),
+    ("poison", {"strategy": "worst"}, [], "unknown strategy 'worst'"),
+], ids=["negative_n", "fraction_above_1", "over_budget", "unknown_strategy"])
+def test_invalid_config_value_exits_2(tmp_path, capsys, command, values, flags, message):
+    rc, captured, out = _run_with_config(tmp_path, capsys, command, values, flags)
+    assert rc == 2
+    assert captured.err.startswith(f"fairrobust {command}: error: {message}")
+    assert captured.out == "" and not out.exists()
+
+
+def test_malformed_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x0,z,y\n0.5,0,1\n0.25,1,x\n")
+    out = tmp_path / "out.csv"
+    assert main(["poison", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "fairrobust poison: error: row 2: non-numeric value 'x' in column 'y'\n")
+    assert not out.exists()
 
 
 def test_train_flags_are_the_config_fields_except_reweight(capsys):

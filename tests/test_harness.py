@@ -18,6 +18,7 @@ from fairrobust.harness import (
 from fairrobust.trainer import (
     TrainConfig,
     evaluate_model,
+    from_json,
     train_fair_robust,
     train_logistic_baseline,
 )
@@ -122,12 +123,12 @@ def test_emit_tradeoff_curve_sorted():
 
 
 def test_spec_json_round_trip():
-    spec = tiny_spec()
+    # JSON turns every tuple into a list; the reader must rebuild the nested
+    # tuples of cov_neg and the tuple of split_fractions.
+    spec = tiny_spec(synthetic=SyntheticSpec(n=200, cov_neg=((6.0, 0.5), (0.5, 2.0))),
+                     split_fractions=(0.7, 0.2, 0.1))
     payload = json.loads(json.dumps(spec.to_json_dict()))
-    back = ExperimentSpec.from_json_dict(payload)
-    assert back.base == spec.base
-    assert back.grid == spec.grid
-    assert back.synthetic.n == spec.synthetic.n
+    assert from_json(ExperimentSpec, payload) == spec
 
 
 def test_spec_requires_one_data_source():
