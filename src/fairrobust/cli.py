@@ -3,8 +3,8 @@
 Subcommands: gen-synth, poison, train, sweep, metrics, aggregate-crowd,
 verify-mi. gen-synth, poison, train and sweep accept ``--config FILE``, a JSON
 object that ``trainer.from_json`` reads into ``SyntheticSpec``, ``PoisonSpec``,
-``TrainConfig`` or ``ExperimentSpec``; the first three also take those fields
-as flags, which win over file values. A key that no field reads, a value of
+``TrainConfig`` or ``ExperimentSpec``; in the first three, a flag named after a
+field wins over the file value. A key that no field reads, a value of
 the wrong JSON type, any other ``ConfigError`` and bad data (``DataError``)
 exit with code 2 and the error on stderr.
 """
@@ -35,31 +35,23 @@ from .poison import PoisonSpec, flip_labels
 from .trainer import ConfigError, TrainConfig, evaluate_model, from_json, train_fair_robust
 
 
-def _load_config(path):
-    """JSON values of ``path``, or {} without one."""
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _merged(file_values, args: argparse.Namespace, keys, **defaults):
-    """``defaults``, then the file values, then any explicitly-passed flags on
-    top; file values that are not an object are left for ``from_json`` to
-    reject."""
-    if not isinstance(file_values, dict):
-        return file_values
-    out = {**defaults, **file_values}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
+def _read_config(cls, args: argparse.Namespace, what: str, **defaults):
+    """``cls`` read by ``from_json`` from ``defaults``, then the values of the
+    ``--config`` file, then each passed flag that names a field of ``cls``. A
+    file that is not a JSON object goes to ``from_json`` as it is, which
+    rejects it as ``what``."""
+    values = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+    if isinstance(values, dict):
+        flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+        values = {**defaults, **values, **{k: v for k, v in flags.items() if v is not None}}
+    return from_json(cls, values, what)
 
 
 def _cmd_gen_synth(args) -> int:
-    values = _merged(_load_config(args.config), args, ["n", "label_prior", "rotation_angle"])
-    spec = from_json(SyntheticSpec, values, "a gen-synth config")
+    spec = _read_config(SyntheticSpec, args, "a gen-synth config")
     ds = generate_synthetic(spec, args.seed)
     save_csv(ds, args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
@@ -67,9 +59,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_poison(args) -> int:
-    values = _merged(_load_config(args.config), args, PoisonSpec.__dataclass_fields__,
-                     group=1, fraction=0.1)
-    spec = from_json(PoisonSpec, values, "a poison config")
+    spec = _read_config(PoisonSpec, args, "a poison config", group=1, fraction=0.1)
     poisoned, flipped = flip_labels(load_csv(args.data), spec)
     save_csv(poisoned, args.out)
     print(f"flipped {len(flipped)} labels in group {spec.group}; wrote {args.out}")
@@ -77,8 +67,7 @@ def _cmd_poison(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    values = _merged(_load_config(args.config), args, TrainConfig.__dataclass_fields__)
-    cfg = from_json(TrainConfig, values, "a train config")
+    cfg = _read_config(TrainConfig, args, "a train config")
     train = load_csv(args.train)
     val = load_csv(args.val) if args.val else None
     model, history = train_fair_robust(train, val, cfg)
@@ -93,7 +82,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = from_json(ExperimentSpec, _load_config(args.config), "a sweep spec")
+    spec = _read_config(ExperimentSpec, args, "a sweep spec")
     rows, _ = run_experiment(spec, out_dir=args.out_dir, jobs=args.jobs)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows) - len(failed)}/{len(rows)} runs succeeded; reports in {args.out_dir}")

@@ -117,10 +117,10 @@ class SyntheticSpec:
     """
 
     n: int = 2000
-    mean_neg: tuple = (-2.0, -2.0)
-    cov_neg: tuple = ((10.0, 1.0), (1.0, 3.0))
-    mean_pos: tuple = (2.0, 2.0)
-    cov_pos: tuple = ((5.0, 1.0), (1.0, 5.0))
+    mean_neg: tuple[float, float] = (-2.0, -2.0)
+    cov_neg: tuple[tuple[float, float], tuple[float, float]] = ((10.0, 1.0), (1.0, 3.0))
+    mean_pos: tuple[float, float] = (2.0, 2.0)
+    cov_pos: tuple[tuple[float, float], tuple[float, float]] = ((5.0, 1.0), (1.0, 5.0))
     rotation_angle: float = -math.pi / 4
     label_prior: float = 0.5
 

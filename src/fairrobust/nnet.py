@@ -243,16 +243,17 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
 class CrossEntropy:
     """Binary cross entropy of a batch of probabilities against 0/1 labels, in nats.
 
-    The probabilities are clamped as ``forward`` clamps them, and the per-row
-    losses -y log p - (1-y) log(1-p) are computed once, so every weighting of
-    the batch shares them. ``value(w)`` is (1/m) sum_i w_i loss_i, normalized
+    It takes ``forward``'s outputs, which ``forward`` already clamped to
+    [PROB_EPS, 1 - PROB_EPS], and clamps them no further. The per-row losses
+    -y log p - (1-y) log(1-p) are computed once, so every weighting of the
+    batch shares them. ``value(w)`` is (1/m) sum_i w_i loss_i, normalized
     by the batch size m and not by the weight total, and ``grad(w)`` is its
     derivative in the probabilities, a length-m vector. Labels and weights
     hold one value per row; no weights means all ones.
     """
 
     def __init__(self, probs, labels):
-        self.p = clip_probs(np.asarray(probs, dtype=np.float64).reshape(-1))
+        self.p = np.asarray(probs, dtype=np.float64).reshape(-1)
         self.y = np.asarray(labels, dtype=np.float64).reshape(-1)
         if len(self.y) != len(self.p):
             raise ValueError("probs, labels and weights must have equal length")

@@ -51,10 +51,12 @@ def train_surrogate(d: Dataset, seed: int):
 def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dataset, list[int]]:
     """Flip ceil(fraction * len(d)) labels inside the target group.
 
-    Returns the poisoned dataset (flips recorded in ``poisoned_indices``) and
-    the flipped row indices. Deterministic given the spec's seed; rows that are
-    not flipped are bit-identical to the input. ``degradation-surrogate``
-    ranks rows with ``reference_model`` and trains it when it is None.
+    Returns the poisoned dataset and the flipped row indices; the dataset's
+    ``poisoned_indices`` holds these flips and every row the input recorded,
+    also when there is nothing to flip. Deterministic given the spec's seed;
+    rows that are not flipped are bit-identical to the input.
+    ``degradation-surrogate`` ranks rows with ``reference_model`` and trains
+    it when it is None and there is something to flip.
     """
     n = len(d)
     n_flips = int(math.ceil(spec.fraction * n))
@@ -65,11 +67,8 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
             f"{len(group_idx)} examples"
         )
     if n_flips == 0:
-        return Dataset(
-            d.features, d.sensitive, d.labels, d.weights,
-            z_cardinality=d.z_cardinality, poisoned_indices=set(),
-        ), []
-    if spec.strategy == "random":
+        chosen = []
+    elif spec.strategy == "random":
         rng = np.random.default_rng(spec.seed)
         chosen = rng.choice(group_idx, size=n_flips, replace=False)
     else:
@@ -84,11 +83,5 @@ def flip_labels(d: Dataset, spec: PoisonSpec, reference_model=None) -> tuple[Dat
     flipped = sorted(int(i) for i in chosen)
     labels = d.labels.copy()
     labels[flipped] = 1 - labels[flipped]
-    poisoned = set(flipped)
-    if d.poisoned_indices:
-        poisoned |= set(d.poisoned_indices)
-    out = Dataset(
-        d.features, d.sensitive, labels, d.weights,
-        z_cardinality=d.z_cardinality, poisoned_indices=poisoned,
-    )
-    return out, flipped
+    return Dataset(d.features, d.sensitive, labels, d.weights, z_cardinality=d.z_cardinality,
+                   poisoned_indices=set(flipped) | (d.poisoned_indices or set())), flipped

@@ -100,9 +100,8 @@ class TrainConfig:
             raise ConfigError("update_ratio must be >= 1")
 
 
-# JSON kind of a bool, int, float or str field, alone and as list items.
-_JSON_KINDS = {bool: ("true or false", "booleans"), int: ("an integer", "integers"),
-               float: ("a number", "numbers"), str: ("a string", "strings")}
+# JSON kind of a bool, int, float or str value.
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def from_json(cls, values, what: str = "a config"):
@@ -110,14 +109,15 @@ def from_json(cls, values, what: str = "a config"):
 
     ``ConfigError`` first names every key that no field reads, then those of
     each nested object (as ``base.epochs``). It then names the first value, in
-    field order, whose JSON type does not fit its field's type: true or false
-    for ``bool``, an integer but not a bool for ``int``, a number for
-    ``float``, a string for ``str``, also null for ``X | None``, a list for a
-    list or tuple (of integers or numbers when the type says so), and an
-    object for a dataclass, which is read the same way. Lists become tuples,
-    at every depth, where the field is a tuple; every other value passes
-    unchanged, so an integer for a ``float`` field stays an integer. ``what``
-    names ``values`` when it is not an object.
+    field order, whose JSON type does not fit its type: true or false for
+    ``bool``, an integer but not a bool for ``int``, a number for ``float``, a
+    string for ``str``, also null for ``X | None``, an object for a dataclass,
+    which is read the same way, a list for ``list[X]``, whose items are each
+    checked as an ``X``, and a list of exactly n items for ``tuple[X1, ...,
+    Xn]``, whose items are each checked against their own type. Items are named
+    by index (``seeds[1]``, ``cov_neg[0][1]``). Tuples are rebuilt from their
+    lists; every other value passes unchanged, so an integer for a ``float``
+    field stays an integer. ``what`` names ``values`` when it is not an object.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a JSON object, not {type(values).__name__}")
@@ -144,27 +144,31 @@ def _from_json_object(cls, values: dict, prefix: str):
 
 
 def _from_json_value(hint, value, name: str):
-    """``value`` of the field ``name``, whose type is ``hint``, checked and rebuilt."""
+    """``value`` of the field or item ``name``, whose type is ``hint``, checked and rebuilt."""
     hint, nullable = _nullable(hint)
     if value is None and nullable:
         return None
-    origin = get_origin(hint) or hint
+    origin, items = get_origin(hint) or hint, get_args(hint)
     if is_dataclass(hint):
         ok, kind = isinstance(value, dict), "a JSON object"
     elif origin in (list, tuple):
         ok, kind = isinstance(value, list), "a list"
-    else:
-        ok, kind = _fits(hint, value), _JSON_KINDS[hint][0]
+    else:  # an integer is a number too, but a bool is neither
+        ok = (isinstance(value, (int, float) if hint is float else hint)
+              and (hint is bool or not isinstance(value, bool)))
+        kind = _JSON_KINDS[hint]
     if not ok:
         or_null = " or null" if nullable else ""
         raise ConfigError(f"{name} must be {kind}{or_null}, not {json.dumps(value)}")
     if is_dataclass(hint):
         return _from_json_object(hint, value, name + ".")
-    item = get_args(hint)[:1]
-    if item and not all(_fits(item[0], v) for v in value):
-        raise ConfigError(f"{name} must be a list of {_JSON_KINDS[item[0]][1]}, "
-                          f"not {json.dumps(value)}")
-    return _tuples(value) if origin is tuple else value
+    if origin is tuple and len(value) != len(items):
+        raise ConfigError(f"{name} must be a list of {len(items)} items, not {json.dumps(value)}")
+    if origin in (list, tuple):
+        types = items * len(value) if origin is list else items
+        return origin(_from_json_value(t, v, f"{name}[{i}]")
+                      for i, (t, v) in enumerate(zip(types, value)))
+    return value
 
 
 def _nullable(hint):
@@ -174,16 +178,6 @@ def _nullable(hint):
         return hint, False
     (inner,) = [arg for arg in args if arg is not type(None)]
     return inner, True
-
-
-def _fits(kind: type, value) -> bool:
-    """Whether ``value`` has the JSON type of a ``kind`` field; a bool is no number."""
-    return (isinstance(value, (int, float) if kind is float else kind)
-            and (kind is bool or not isinstance(value, bool)))
-
-
-def _tuples(value):
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 @dataclass
@@ -268,6 +262,12 @@ def evaluate_model(model: MLPModel, d: Dataset) -> MetricsReport:
                           d.labels, d.sensitive, z_cardinality=d.z_cardinality)
 
 
+def _child_seed(seed: int, index: int) -> int:
+    """Seed of the ``index``-th child of ``seed``: the first state word of
+    ``SeedSequence(seed).spawn(n)[index]``, for any n above ``index``."""
+    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
+
+
 def _fairness_strata(criterion: str, labels: np.ndarray) -> np.ndarray:
     """Per-row stratum of the fairness payoff: one stratum for DI, the label for
     EO, and the positive-label rows alone (others left out, -1) for EOPP."""
@@ -308,21 +308,20 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     y_float = y.astype(np.float64)
     groups = group_plan(z)  # the probe's groups, checked and counted once
     lam0 = 1.0 - cfg.lambda1 - cfg.lambda2
-    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
-    gen = init_model(MLPSpec(input_dim=x.shape[1]), seeds[0])
+    gen = init_model(MLPSpec(input_dim=x.shape[1]), _child_seed(cfg.seed, 0))
     opt_gen = init_optimizer(cfg.generator_lr, gen)
 
-    heads = {}  # one fairness head per stratum of the plan; head k seeds from child k
+    heads = {}  # one fairness head per stratum of the plan; head k seeds from child k of child 1
     fair_rows = None
     if cfg.lambda1 > 0:
         fair_rows = fairness_rows(z, _fairness_strata(cfg.fairness_criterion, y))
-        heads = {s.key: new_fairness_adversary(train.z_cardinality, int(
-                     np.random.SeedSequence(seeds[1], spawn_key=(s.key,)).generate_state(1)[0]))
+        fair_seed = _child_seed(cfg.seed, 1)
+        heads = {s.key: new_fairness_adversary(train.z_cardinality, _child_seed(fair_seed, s.key))
                  for s in fair_rows.strata}
     robustness = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
-                                              ROBUST_HIDDEN, seeds[2])
+                                              ROBUST_HIDDEN, _child_seed(cfg.seed, 2))
         rob_rows = robustness_rows(robustness, train, val)
 
     history = TrainHistory()

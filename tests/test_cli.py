@@ -76,8 +76,10 @@ def test_sweep_command(tmp_path, capsys):
     ({"seeds": [0], "synthetic": [100]}, "synthetic must be a JSON object or null, not [100]"),
     ({"seeds": [], "synthetic": {}}, "seeds must be nonempty"),
     ({"seeds": 5, "synthetic": {}}, "seeds must be a list, not 5"),
-    ({"seeds": [0, "1"], "synthetic": {}}, 'seeds must be a list of integers, not [0, "1"]'),
+    ({"seeds": [0, "1"], "synthetic": {}}, 'seeds[1] must be an integer, not "1"'),
     ({"seeds": [0], "synthetic": {}, "split_fractions": 3}, "split_fractions must be a list, not 3"),
+    ({"seeds": [0], "synthetic": {}, "split_fractions": [0.8, 0.2]},
+     "split_fractions must be a list of 3 items, not [0.8, 0.2]"),
     ({"seeds": [0], "synthetic": {}, "base": {"epochs": "x"}},
      'base.epochs must be an integer, not "x"'),
     ({"seeds": [0], "synthetic": {"n": "x"}}, 'synthetic.n must be an integer, not "x"'),
@@ -85,16 +87,24 @@ def test_sweep_command(tmp_path, capsys):
     ({"seeds": [0], "synthetic": {"n": -1}}, "n must be nonnegative"),
     ({"seeds": [0], "synthetic": {"cov_neg": [[1, 2], [2, 1]]}},
      "cov_neg must be positive-definite"),
+    ({"seeds": [0], "synthetic": {"cov_neg": [[1, "x"], ["x", 1]]}},
+     'synthetic.cov_neg[0][1] must be a number, not "x"'),
+    ({"seeds": [0], "synthetic": {"mean_neg": [1, 2, 3]}},
+     "synthetic.mean_neg must be a list of 2 items, not [1, 2, 3]"),
+    ({"seeds": [0], "synthetic": {"mean_neg": [1, "x"]}},
+     'synthetic.mean_neg[1] must be a number, not "x"'),
 ], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
-        "int_split_fractions", "string_epochs", "string_n", "list_spec", "negative_n",
-        "indefinite_cov_neg"])
+        "int_split_fractions", "short_split_fractions", "string_epochs", "string_n",
+        "list_spec", "negative_n", "indefinite_cov_neg", "string_cov_neg", "long_mean_neg",
+        "string_mean_neg"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
     out_dir = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr().err == f"fairrobust sweep: error: {message}\n"
-    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.err == f"fairrobust sweep: error: {message}\n"
+    assert captured.out == "" and not out_dir.exists()
 
 
 UNKNOWN_KEY_CONFIGS = {
@@ -142,6 +152,9 @@ WRONG_TYPE_CONFIGS = [
     ("train", [1], "a train config must be a JSON object, not list"),
     ("gen-synth", {"n": "x"}, 'n must be an integer, not "x"'),
     ("gen-synth", {"mean_neg": 2}, "mean_neg must be a list, not 2"),
+    ("gen-synth", {"cov_neg": [[1, "x"], ["x", 1]]}, 'cov_neg[0][1] must be a number, not "x"'),
+    ("gen-synth", {"mean_neg": [1, 2, 3]}, "mean_neg must be a list of 2 items, not [1, 2, 3]"),
+    ("gen-synth", {"mean_neg": [1, "x"]}, 'mean_neg[1] must be a number, not "x"'),
     ("gen-synth", [1], "a gen-synth config must be a JSON object, not list"),
     ("poison", {"fraction": "x"}, 'fraction must be a number, not "x"'),
     ("poison", {"group": 1.0}, "group must be an integer, not 1.0"),

@@ -1,7 +1,7 @@
 import csv
 import json
 import statistics
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from fairrobust.harness import (
     run_experiment,
     run_single,
 )
+from fairrobust.poison import PoisonSpec
 from fairrobust.trainer import (
     TrainConfig,
     evaluate_model,
@@ -129,6 +130,31 @@ def test_spec_json_round_trip():
                      split_fractions=(0.7, 0.2, 0.1))
     payload = json.loads(json.dumps(spec.to_json_dict()))
     assert from_json(ExperimentSpec, payload) == spec
+
+
+NON_DEFAULT_SYNTHETIC = SyntheticSpec(n=300, mean_neg=(-1.0, -3.0),
+                                      cov_neg=((6.0, 0.5), (0.5, 2.0)), mean_pos=(1.5, 2.5),
+                                      cov_pos=((4.0, -1.0), (-1.0, 3.0)), rotation_angle=0.3,
+                                      label_prior=0.4)
+NON_DEFAULT_TRAIN = TrainConfig(lambda1=0.3, lambda2=0.2, c_threshold=0.5,
+                                fairness_criterion="EO", generator_lr=0.02, disc_lr=0.01,
+                                epochs=50, pretrain_epochs=5, update_ratio=2, reweight=False,
+                                seed=9)
+
+
+@pytest.mark.parametrize("config", [
+    NON_DEFAULT_SYNTHETIC,
+    PoisonSpec(group=0, fraction=0.2, strategy="random", seed=7),
+    NON_DEFAULT_TRAIN,
+    ExperimentSpec(seeds=[3, 4], base=NON_DEFAULT_TRAIN, sweep_axis="poison_fraction",
+                   grid=[0.0, 0.1], synthetic=NON_DEFAULT_SYNTHETIC,
+                   split_fractions=(0.7, 0.2, 0.1), poison_fraction=0.1, poison_group=0,
+                   poison_strategy="random"),
+], ids=lambda config: type(config).__name__)
+def test_every_config_survives_a_json_round_trip(config):
+    # Fails when a config field gets a type that from_json does not rebuild.
+    payload = json.loads(json.dumps(asdict(config)))
+    assert from_json(type(config), payload) == config
 
 
 def test_spec_requires_one_data_source():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairrobust import poison
 from fairrobust.benchmarks import benchmark_datasets, baseline_config
 from fairrobust.dataset import SyntheticSpec, generate_synthetic
 from fairrobust.poison import PoisonBudgetError, PoisonSpec, flip_labels
@@ -25,6 +26,20 @@ def test_zero_fraction_is_identity(clean):
     assert flipped == []
     assert np.array_equal(poisoned.labels, clean.labels)
     assert poisoned.poisoned_indices == set()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01])
+def test_earlier_flips_stay_recorded(clean, fraction):
+    once, first = flip_labels(clean, PoisonSpec(1, 0.05, "random", seed=1))
+    twice, second = flip_labels(once, PoisonSpec(1, fraction, "random", seed=2))
+    assert len(second) == int(np.ceil(fraction * len(clean)))
+    assert twice.poisoned_indices == set(first) | set(second)
+
+
+def test_zero_flips_train_no_surrogate(clean, monkeypatch):
+    monkeypatch.setattr(poison, "train_surrogate", None)  # a call would raise
+    poisoned, flipped = flip_labels(clean, PoisonSpec(1, 0.0))
+    assert flipped == [] and np.array_equal(poisoned.labels, clean.labels)
 
 
 def test_untouched_rows_bit_identical(clean):

@@ -230,6 +230,13 @@ def test_eo_run_builds_the_fairness_plan_once(datasets, monkeypatch):
                      + ["objective"] * ((cfg.update_ratio + 1) * cfg.epochs))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1, 987654321987])
+def test_child_seed_is_the_spawned_childs_seed(seed):
+    spawned = np.random.SeedSequence(seed).spawn(3)
+    assert [trainer._child_seed(seed, i) for i in range(3)] == [
+        int(child.generate_state(1)[0]) for child in spawned]
+
+
 def test_fairness_heads_follow_the_plans_strata(datasets, monkeypatch):
     # A training split of label 1 alone has one EO stratum, so the run builds
     # one head, keyed 1 and seeded as head 1 of a run with both labels.
