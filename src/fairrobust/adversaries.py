@@ -28,8 +28,10 @@ its value and the heads' gradients, and the prediction gradient unless
 ``prediction_grad=False`` (an ascent step reads only the head gradients). The
 strata and group codes do not depend on the predictions, so ``fairness_rows``
 builds once per run what every fairness evaluation reads: each stratum's row
-indices and group codes, the number of kept rows and H(Z | S); an evaluation
-gathers the rows and runs each head's forward and backward pass. The
+indices and group codes, each row's own-group cell in its head's output, the
+number of kept rows and H(Z | S); an evaluation gathers each stratum's
+predictions, which ``nnet`` reads as one (1, n) row, and runs its head's
+forward and backward pass on (groups, rows) memory. The
 robustness payoff always computes its value, the prediction gradient (which is
 analytic, from the forward pass) and the label scores, each training row
 scored with its own label; the two backward passes for the adversary's
@@ -37,12 +39,15 @@ parameter gradients run only with ``param_grads=True``, the default, which an
 ascent step needs and the generator's evaluation does not. The robustness
 adversary's input rows do not depend on the predictions, so
 ``robustness_rows`` builds them once per run from the run's training and
-validation ``Dataset``s, together with the forward caches whose hidden-layer
-buffers every evaluation of that run reuses and the position of each training
-row's own-label slot. Its forward passes do not depend on the predictions
-either: an evaluation reruns them only when the adversary's parameters differ
-from those the caches were computed with, so the generator's evaluation at
-the end of an epoch and the first ascent step of the next share one pass.
+validation ``Dataset``s, together with the forward caches whose feature-major
+hidden-layer buffers and outputs every evaluation of that run reuses, and the
+position of each training row's own-label slot (the rows stay as
+``np.vstack`` builds them: only matmuls read them, and those gain nothing
+measurable from another layout). Its forward passes do not depend on the
+predictions either: an evaluation reruns them only when the adversary's
+parameters differ from those the caches were computed with, so the
+generator's evaluation at the end of an epoch and the first ascent step of the
+next share one pass.
 """
 
 from __future__ import annotations
@@ -279,8 +284,8 @@ class RobustnessRows:
     parameter vector that ``train`` and ``val`` were computed with. A
     ``robustness_objective`` call whose adversary differs from them reruns
     both forward passes, and each call runs its backward passes if any, in
-    the hidden-layer buffers of ``train`` and ``val``, so a run allocates them
-    once; nothing that the call returns shares memory with them.
+    the (hidden, rows) buffers of ``train`` and ``val``, so a run allocates
+    them once; nothing that the call returns shares memory with them.
     """
 
     train: ForwardCache
@@ -323,7 +328,7 @@ class FairnessStratum:
     key: int  # the stratum, which names the adversary head that scores it
     rows: np.ndarray  # indices of its rows among all rows
     z: np.ndarray  # their group codes
-    positions: np.ndarray  # arange(len(rows)), the row index into the head's output
+    cells: np.ndarray  # each row's own-group cell in the head's flat (groups, rows) output
     max_code: int  # the largest of ``z``
 
 
@@ -359,7 +364,8 @@ def fairness_rows(z, strata) -> FairnessRows:
         rows = np.flatnonzero(strata == key)
         zs = z[rows]
         entropy += len(zs) / m * empirical_entropy(zs)
-        parts.append(FairnessStratum(key, rows, zs, np.arange(len(zs)), int(zs.max())))
+        parts.append(FairnessStratum(key, rows, zs, zs * len(zs) + np.arange(len(zs)),
+                                     int(zs.max())))
     return FairnessRows(tuple(parts), m, entropy, len(z))
 
 
@@ -416,12 +422,12 @@ def fairness_objective(heads: dict[int, MLPModel], rows: FairnessRows, predictio
             raise ValueError("adversary output dim smaller than number of groups")
         ws = w[stratum.rows]
         cache = forward_with_cache(model, predictions[stratum.rows][:, None])
-        probs = cache.output
-        picked = np.clip(probs[stratum.positions, stratum.z], LOG_EPS, None)
+        probs = cache.output.T  # (groups, rows), C-ordered
+        picked = np.maximum(probs.ravel()[stratum.cells], LOG_EPS)
         payoffs.append(float((ws * np.log(picked)).sum() / rows.m))
-        d_probs = np.zeros_like(probs)
-        d_probs[stratum.positions, stratum.z] = ws / (rows.m * picked)
-        grads = backward(model, cache, d_probs, input_grad=prediction_grad)
+        d_probs = np.zeros(probs.shape)
+        d_probs.ravel()[stratum.cells] = ws / (rows.m * picked)
+        grads = backward(model, cache, d_probs.T, input_grad=prediction_grad)
         head_grads[stratum.key] = grads
         if prediction_grad:
             pred_grad[stratum.rows] = grads.inputs[:, 0]

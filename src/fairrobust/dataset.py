@@ -129,6 +129,9 @@ class SyntheticSpec:
             raise DataError("n must be nonnegative")
         if not 0.0 < self.label_prior < 1.0:
             raise DataError("label_prior must lie in (0, 1)")
+        for name in ("mean_neg", "mean_pos"):
+            if np.asarray(getattr(self, name), dtype=np.float64).shape != (2,):
+                raise DataError(f"{name} must be a pair of numbers")
         for name in ("cov_neg", "cov_pos"):
             cov = np.asarray(getattr(self, name), dtype=np.float64)
             if cov.shape != (2, 2) or not np.allclose(cov, cov.T):

@@ -9,26 +9,19 @@ One kind of network: an optional ReLU hidden layer, then a sigmoid output
 spec holds only the three widths. Adam's betas and epsilon are the constants
 below.
 
-Buffers: a forward pass computes the hidden layer in place in one (n, hidden)
-array, and ``backward`` computes dLoss/dHidden and then dLoss/dPre-activation
-in place in a second one; both live on the ``ForwardCache``. A caller that
-runs many passes over the same rows hands its earlier cache back to
-``forward_with_cache``, which then writes into those two buffers instead of
-allocating new ones. At a few thousand rows each buffer is larger than the C
-allocator's mmap threshold, so a fresh one per pass is mapped, faulted in page
-by page and unmapped again.
-
-Narrow arrays: the models are a few units wide, and numpy's generic loops over
-an (n, k) array with k < 8 run an inner loop only k long. The passes below
-take other routes to the same bits:
-
-* Softmax rows are reduced column by column into one (n,) accumulator, which
-  for fewer than 8 columns adds in the same order as numpy's row reduction.
-* Column sums of a C-ordered array of 2 or more columns (the bias gradients of
-  the hidden layer and of a softmax output) are ``np.einsum('ij->j', a)``,
-  which like ``a.sum(axis=0)`` starts from +0.0 and adds the rows one by one.
-  One column keeps ``.sum(axis=0)``: there numpy sums pairwise and ``einsum``
-  does not.
+Layout: the passes are feature-major. The hidden layer, its work buffer and
+the outputs live in (units, rows) memory, and a ``ForwardCache`` holds them,
+and the input, as (rows, units) views: the public functions take and return
+rows-first arrays, and each ``.T`` is a view, never a copy. So every
+elementwise step, bias add, ReLU mask, softmax reduction and bias-gradient sum
+runs along the rows instead of along rows a few units wide. The matmuls read
+the weights, which stay (fan_in, fan_out), through ``.T`` views too, and the
+input as given: only matmuls read it, and ``trainer`` builds the generator's
+once per run as the ``.T`` of (features, rows) memory. A caller that runs many
+passes over the same rows hands its earlier cache back to
+``forward_with_cache``, which then computes the hidden layer in that cache's
+buffers instead of mapping fresh ones, and ``backward`` computes dLoss/dHidden
+and then dLoss/dPre-activation in place in the second.
 
 Parameters: a model keeps all its parameters in one float64 vector,
 ``MLPModel.params``, in ``weights + biases`` order, and ``weights`` and
@@ -122,39 +115,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _row_reduce(ufunc, a: np.ndarray, initial: float) -> np.ndarray:
-    """``ufunc`` folded over the columns of ``a``, left to right, starting from ``initial``.
-
-    numpy reduces a row shorter than 8 entries in this same order (a sum
-    starts from +0.0), so for up to 7 columns the result has the bits of
-    ``ufunc.reduce(a, axis=1)``.
-    """
-    acc = np.full(len(a), initial)
-    for j in range(a.shape[1]):
-        ufunc(acc, a[:, j], out=acc)
-    return acc
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - _row_reduce(np.maximum, x, -np.inf)[:, None]
+    """Softmax of each row; on a ``.T`` view the reductions run along the rows."""
+    shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / _row_reduce(np.add, e, 0.0)[:, None]
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _column_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=0)`` of an (n, k) array, with the same bits."""
-    if a.shape[1] > 1 and a.flags.c_contiguous:
-        return np.einsum("ij->j", a)
-    return a.sum(axis=0)
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``. An inner dimension of 1 makes it an outer product, which a
+    broadcast multiply computes several times faster than matmul."""
+    return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
 
 
 @dataclass
 class ForwardCache:
-    """What ``backward`` needs from one forward pass.
+    """What ``backward`` needs from one forward pass, as (n, units) views of
+    (units, n) memory.
 
-    ``hidden`` (the activations) and ``work`` (backward's dLoss/dHidden, then
-    dLoss/dPre-activation) are (n, hidden_dim) buffers, None for a linear
-    model. A forward pass that reuses this cache overwrites both.
+    ``x`` is the input as given. ``hidden`` (the activations) and ``work``
+    (backward's dLoss/dHidden, then dLoss/dPre-activation) are (n, hidden_dim)
+    buffers, None for a linear model. A forward pass that reuses this cache
+    overwrites both.
     """
 
     x: np.ndarray
@@ -185,14 +167,16 @@ def forward_with_cache(model: MLPModel, x: np.ndarray,
         raise ValueError(f"input dim {x.shape[1]} != expected {spec.input_dim}")
     if spec.hidden_dim == 0:
         hidden = work = None
-        logits = x @ model.weights[0] + model.biases[0]
+        inputs = x
     else:
-        shape = (len(x), spec.hidden_dim)
-        hidden, work = (np.empty(shape), np.empty(shape)) if reuse is None else (reuse.hidden, reuse.work)
-        np.matmul(x, model.weights[0], out=hidden)
+        shape = (spec.hidden_dim, len(x))
+        hidden, work = (np.empty(shape).T, np.empty(shape).T) if reuse is None else (reuse.hidden, reuse.work)
+        _matmul(model.weights[0].T, x.T, out=hidden.T)
         hidden += model.biases[0]
         np.maximum(hidden, 0.0, out=hidden)
-        logits = hidden @ model.weights[1] + model.biases[1]
+        inputs = hidden
+    logits = _matmul(model.weights[-1].T, inputs.T).T
+    logits += model.biases[-1]
     if spec.output_dim == 1:
         raw = _sigmoid(logits)
         out = clip_probs(raw)
@@ -224,19 +208,20 @@ def backward(model: MLPModel, cache: ForwardCache, d_output: np.ndarray,
     if spec.output_dim == 1:
         d_logits = d_output * p * (1.0 - p)
     else:
-        d_logits = p * (d_output - _row_reduce(np.add, d_output * p, 0.0)[:, None])
+        d_logits = p * (d_output - (d_output * p).sum(axis=1, keepdims=True))
     if spec.hidden_dim == 0:
         d_w = cache.x.T @ d_logits
-        d_b = _column_sum(d_logits)
-        d_x = d_logits @ model.weights[0].T if input_grad else None
+        d_b = d_logits.sum(axis=0)
+        d_x = _matmul(model.weights[0], d_logits.T).T if input_grad else None
         return Gradients([d_w], [d_b], d_x)
     d_w2 = cache.hidden.T @ d_logits
-    d_b2 = _column_sum(d_logits)
-    d_pre = np.matmul(d_logits, model.weights[1].T, out=cache.work)  # dLoss/dHidden, then in place:
+    d_b2 = d_logits.sum(axis=0)
+    d_pre = cache.work  # dLoss/dHidden, then in place dLoss/dPre-activation:
+    _matmul(model.weights[1], d_logits.T, out=d_pre.T)
     d_pre *= cache.hidden > 0  # the same mask as pre-activation > 0, NaN included
     d_w1 = cache.x.T @ d_pre
-    d_b1 = _column_sum(d_pre)
-    d_x = d_pre @ model.weights[0].T if input_grad else None
+    d_b1 = d_pre.sum(axis=0)
+    d_x = _matmul(model.weights[0], d_pre.T).T if input_grad else None
     return Gradients([d_w1, d_w2], [d_b1, d_b2], d_x)
 
 

@@ -92,8 +92,11 @@ class TrainConfig:
             raise ConfigError("lambda1 + lambda2 must be < 1")
         if self.fairness_criterion not in FAIRNESS_CRITERIA:
             raise ConfigError(f"fairness_criterion must be one of {FAIRNESS_CRITERIA}")
-        if self.generator_lr <= 0 or self.disc_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        for name in ("generator_lr", "disc_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
+        if not math.isfinite(self.c_threshold):
+            raise ConfigError("c_threshold must be finite")
         if self.epochs < 1 or self.pretrain_epochs < 0:
             raise ConfigError("epochs must be >= 1 and pretrain_epochs >= 0")
         if self.update_ratio < 1:
@@ -252,9 +255,10 @@ def model_inputs(model: MLPModel, d: Dataset) -> np.ndarray:
 
 
 def _augment(features, sensitive, z_cardinality: int) -> np.ndarray:
-    onehot = np.zeros((len(sensitive), z_cardinality))
-    onehot[np.arange(len(sensitive)), sensitive] = 1.0
-    return np.hstack([features, onehot])
+    """(features, one-hot z) rows: the (rows, features) view of (features, rows) memory."""
+    onehot = np.zeros((z_cardinality, len(sensitive)))
+    onehot[sensitive, np.arange(len(sensitive))] = 1.0
+    return np.vstack([np.asarray(features).T, onehot]).T
 
 
 def evaluate_model(model: MLPModel, d: Dataset) -> MetricsReport:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -178,7 +179,10 @@ def test_wrongly_typed_config_exits_2_and_names_the_field(tmp_path, capsys, comm
     ("poison", {"group": 1}, ["--fraction", "0.9"],
      "54 flips requested but group 1 has only"),
     ("poison", {"strategy": "worst"}, [], "unknown strategy 'worst'"),
-], ids=["negative_n", "fraction_above_1", "over_budget", "unknown_strategy"])
+    ("train", {}, ["--generator-lr", "inf"], "generator_lr must be positive and finite\n"),
+    ("train", {"disc_lr": math.nan}, [], "disc_lr must be positive and finite\n"),
+], ids=["negative_n", "fraction_above_1", "over_budget", "unknown_strategy", "inf_generator_lr",
+        "nan_disc_lr"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, values, flags, message):
     rc, captured, out = _run_with_config(tmp_path, capsys, command, values, flags)
     assert rc == 2

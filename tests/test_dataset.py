@@ -81,6 +81,14 @@ def test_non_spd_covariance_rejected():
         SyntheticSpec(n=10, cov_neg=((1.0, 2.0), (2.0, 1.0)))
 
 
+@pytest.mark.parametrize("field", ["mean_neg", "mean_pos"])
+@pytest.mark.parametrize("mean", [(1.0, 2.0, 3.0), (1.0,), ((1.0, 2.0), (3.0, 4.0))],
+                         ids=["three", "one", "matrix"])
+def test_mean_of_another_shape_rejected(field, mean):
+    with pytest.raises(DataError, match=f"{field} must be a pair of numbers"):
+        SyntheticSpec(**{field: mean})
+
+
 def test_split_sizes_and_remainder():
     ds = generate_synthetic(SyntheticSpec(n=2000), seed=1)
     train, val, test = split(ds, (0.8, 0.1, 0.1), seed=2)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -13,8 +14,6 @@ from fairrobust.nnet import (
     MLPModel,
     MLPSpec,
     TrainingDivergedError,
-    _column_sum,
-    _row_reduce,
     _sigmoid,
     _softmax,
     adam_step,
@@ -28,6 +27,7 @@ from fairrobust.nnet import (
     save_model,
     sgd_step,
 )
+from fairrobust.trainer import predict
 from gradcheck import (
     flatten_grads,
     get_flat_params,
@@ -232,14 +232,106 @@ def test_hidden_layer_gradients_through_a_reused_cache_match_finite_differences(
     assert np.abs(grads.inputs.ravel() - numeric_x).max() < 1e-7
 
 
+def _numpy_reference(model, x, d_out):
+    """A network's output, hidden layer (None for a linear model) and gradients
+    (weights, biases, inputs) as plain row-major numpy expressions."""
+    hidden, inputs = None, x
+    if model.spec.hidden_dim:
+        hidden = x @ model.weights[0]
+        hidden += model.biases[0]
+        np.maximum(hidden, 0.0, out=hidden)
+        inputs = hidden
+    logits = inputs @ model.weights[-1] + model.biases[-1]
+    if model.spec.output_dim == 1:
+        raw = _sigmoid(logits)
+        out = clip_probs(raw)
+        d_logits = d_out * raw * (1.0 - raw)
+    else:
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out = raw = e / e.sum(axis=1, keepdims=True)
+        d_logits = raw * (d_out - (d_out * raw).sum(axis=1, keepdims=True))
+    if hidden is None:
+        return out, None, [x.T @ d_logits, d_logits.sum(axis=0), d_logits @ model.weights[0].T]
+    (w1, w2) = model.weights
+    d_pre = d_logits @ w2.T
+    d_pre *= hidden > 0
+    grads = [x.T @ d_pre, hidden.T @ d_logits, d_pre.sum(axis=0), d_logits.sum(axis=0),
+             d_pre @ w1.T]
+    return out, hidden, grads
+
+
+def _assert_rounding_close(got, want):
+    """Within 1e-12 relative; an entry whose sum cancels to far below the
+    array's largest magnitude is held to 1e-14 of that magnitude instead."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["input_grad", "no_input_grad"])
+@pytest.mark.parametrize("hidden_dim", [0, 8])
+@pytest.mark.parametrize("output_dim", [1, 2, 8])
+def test_feature_major_passes_agree_with_the_numpy_reference(output_dim, hidden_dim, input_grad):
+    # The passes run on (units, rows) memory, so their sums add in another
+    # order than the row-major reference's: they agree to rounding, not bits.
+    rng = np.random.default_rng(10 * output_dim + hidden_dim)
+    spec = MLPSpec(input_dim=5, hidden_dim=hidden_dim, output_dim=output_dim)
+    model = init_model(spec, seed=output_dim + hidden_dim)
+    for b in model.biases:
+        b[...] = rng.normal(scale=0.5, size=b.shape)
+    model.weights[-1][0] = -0.0  # zero products in the backward pass
+    for n in (7, 200, 3200, 16000):
+        x, d_out = rng.normal(size=(n, 5)), rng.normal(size=(n, output_dim))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        out, hidden, want = _numpy_reference(model, x, d_out)
+        stale = forward_with_cache(model, rng.normal(size=(n, 5)))
+        for cache in (forward_with_cache(model, x), forward_with_cache(model, x, stale)):
+            assert forward(model, x).shape == (n, output_dim)
+            _assert_rounding_close(cache.output, out)
+            if hidden_dim:
+                _assert_rounding_close(cache.hidden, hidden)
+            grads = backward(model, cache, d_out, input_grad=input_grad)
+            got = grads.weights + grads.biases + [grads.inputs]
+            for a, b in zip(got[:-1], want[:-1], strict=True):
+                _assert_rounding_close(a, b)
+            if input_grad:
+                _assert_rounding_close(grads.inputs, want[-1])
+            else:
+                assert grads.inputs is None
+        if output_dim == 1:
+            assert predict(model, x).shape == (n,)
+    if hidden_dim:
+        with pytest.raises(ValueError):  # a reused cache covers as many rows as it was made for
+            forward_with_cache(model, x[:1], stale)
+
+
+def test_save_model_bytes_are_unchanged(tmp_path):
+    # The file format is rows-first (fan_in, fan_out) weights, whatever the
+    # passes' memory layout; the digest was recorded before the layout changed.
+    model = init_model(MLPSpec(input_dim=3, hidden_dim=8, output_dim=2), seed=31)
+    model.biases[0][...] = np.linspace(-1.0, 1.0, 8)
+    model.biases[1][...] = [0.25, -0.5]
+    save_model(model, tmp_path / "model.json")
+    digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+    assert digest == "7d1281ef968ad28ac2acb477b22e116cb9ca2852c77ab4c9663b646c56a09edb"
+
+
 def _bits_equal(a, b):
     """Equal values, NaN included, and equal signs of zero."""
     return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def _feature_major(a):
+    """``a`` as a (rows, units) view of (units, rows) memory, the passes' layout."""
+    return np.ascontiguousarray(a.T).T
+
+
 @pytest.mark.parametrize("k", range(1, 8))
 def test_softmax_column_reductions_equal_row_reductions_bit_for_bit(k):
+    # Feature-major passes reduce a softmax's k units down the columns of
+    # (units, rows) memory; for up to 7 units that has the bits of numpy's
+    # row reductions of rows-first memory, so the outputs and the softmax
+    # gradient are those of the textbook row-major expressions.
     rng = np.random.default_rng(100 + k)
     n = 400
     x = rng.normal(scale=rng.choice([1.0, 30.0, 300.0], size=(n, 1)), size=(n, k))
@@ -247,24 +339,23 @@ def test_softmax_column_reductions_equal_row_reductions_bit_for_bit(k):
     for a, value in ((x, -0.0), (x, 0.0), (x, 700.0), (x, -700.0), (d, -0.0), (d, 0.0)):
         a[rng.random(a.shape) < 0.1] = value
     x[:20], d[:20] = -0.0, -0.0  # rows of negative zeros only
-    for a in (x, d, d * _softmax(x)):
-        assert _bits_equal(_row_reduce(np.maximum, a, -np.inf), a.max(axis=1))
-        assert _bits_equal(_row_reduce(np.add, a, 0.0), a.sum(axis=1))
-
     shifted = x - x.max(axis=1, keepdims=True)
     p_old = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    assert _bits_equal(_softmax(x), p_old)
+    for a in (x, d, d * p_old):
+        assert _bits_equal(_feature_major(a).max(axis=1), a.max(axis=1))
+        assert _bits_equal(_feature_major(a).sum(axis=1), a.sum(axis=1))
+    assert _bits_equal(_softmax(_feature_major(x)), p_old)
 
     if k == 1:
         return  # a network with one output is a sigmoid
     model = init_model(MLPSpec(input_dim=3, hidden_dim=0, output_dim=k), seed=k)
     cache = forward_with_cache(model, rng.normal(size=(n, 3)))
-    cache.raw_output = cache.output = p_old
-    d_logits = p_old * (d - (d * p_old).sum(axis=1, keepdims=True))
-    grads = backward(model, cache, d)
+    cache.raw_output = cache.output = _feature_major(p_old)
+    d_logits = _feature_major(p_old * (d - (d * p_old).sum(axis=1, keepdims=True)))
+    grads = backward(model, cache, _feature_major(d))
     assert _bits_equal(grads.weights[0], cache.x.T @ d_logits)
     assert _bits_equal(grads.biases[0], d_logits.sum(axis=0))
-    assert _bits_equal(grads.inputs, d_logits @ model.weights[0].T)
+    assert _bits_equal(grads.inputs, (model.weights[0] @ d_logits.T).T)
 
 
 def _mixed(rng, shape):
@@ -275,48 +366,45 @@ def _mixed(rng, shape):
     return a
 
 
-@pytest.mark.parametrize("k", range(1, 9))
-def test_column_sum_equals_numpy_sum_bit_for_bit(k):
-    rng = np.random.default_rng(200 + k)
-    for n in (1, 7, 200, 1600, 3200):
-        a = _mixed(rng, (n, k))
-        if k > 1:
-            a[:, -1] = -0.0  # a column of negative zeros only
-        assert _column_sum(a).tobytes() == a.sum(axis=0).tobytes()
-
-
-def _numpy_reference(model, x, d_out):
-    """A hidden-layer network's output, activations and gradients as plain numpy expressions."""
+def _feature_major_reference(model, x, d_out):
+    """A hidden-layer network's output, activations and gradients as plain
+    numpy expressions on (units, rows) arrays, returned rows-first."""
     (w1, w2), (b1, b2) = model.weights, model.biases
-    hidden = x @ w1
-    hidden += b1
+    hidden = w1.T @ x.T
+    hidden += b1[:, None]
     np.maximum(hidden, 0.0, out=hidden)
-    logits = hidden @ w2 + b2
+    logits = w2.T @ hidden + b2[:, None]
+    d_out = d_out.T
     if model.spec.output_dim == 1:
         raw = _sigmoid(logits)
         out = clip_probs(raw)
         d_logits = d_out * raw * (1.0 - raw)
     else:
-        out = raw = _softmax(logits)
-        d_logits = raw * (d_out - (d_out * raw).sum(axis=1, keepdims=True))
-    d_pre = d_logits @ w2.T
+        e = np.exp(logits - logits.max(axis=0))
+        out = raw = e / e.sum(axis=0)
+        d_logits = raw * (d_out - (d_out * raw).sum(axis=0))
+    d_pre = w2 @ d_logits
     d_pre *= hidden > 0
-    grads = [x.T @ d_pre, hidden.T @ d_logits, d_pre.sum(axis=0), d_logits.sum(axis=0),
-             d_pre @ w1.T]
-    return out, hidden, grads
+    grads = [x.T @ d_pre.T, hidden @ d_logits.T, d_pre.sum(axis=1), d_logits.sum(axis=1),
+             (w1 @ d_pre).T]
+    return out.T, hidden.T, grads
 
 
 @pytest.mark.parametrize("output_dim", [1, 3])
 @pytest.mark.parametrize("n", [7, 200, 3200, 16000])
 def test_hidden_layer_passes_equal_the_numpy_reference_bit_for_bit(n, output_dim):
+    # The reference is the feature-major one, with the upstream gradient in
+    # (units, rows) memory as the adversaries hand it over: the passes'
+    # buffers, in-place steps and outer-product shortcut must leave exactly
+    # its bits, on fresh and on reused buffers.
     rng = np.random.default_rng(n + output_dim)
     model = init_model(MLPSpec(input_dim=5, hidden_dim=8, output_dim=output_dim), seed=n)
     model.biases[0][...] = rng.normal(scale=0.5, size=8)
     model.biases[1][...] = rng.normal(scale=0.5, size=output_dim)
     model.weights[1][2] = -0.0  # zero products in dLoss/dHidden
     x = _mixed(rng, (n, 5))
-    d_out = _mixed(rng, (n, output_dim))
-    out, hidden, want = _numpy_reference(model, x, d_out)
+    d_out = _feature_major(_mixed(rng, (n, output_dim)))
+    out, hidden, want = _feature_major_reference(model, x, d_out)
 
     def check(cache):
         assert cache.output.tobytes() == out.tobytes()

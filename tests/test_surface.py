@@ -107,3 +107,8 @@ def test_perfbench_tracer_installs_and_counts_epochs(monkeypatch):
     assert figures["trainer.epoch_ms"][0] > 0
     assert (figures["adversaries.robustness_objective.calls_per_epoch"][0]
             == cfg.update_ratio + 1)
+    # Row counts are ``len(x)`` of rows-first inputs: 3 robustness passes of
+    # 3,200 training and 200 validation rows, and 4 fairness passes of 1,600
+    # rows, per epoch. A feature-major argument would count features instead.
+    assert figures["nnet.adversary_forward_rows_per_epoch"][0] == 16600
+    assert figures["nnet.generator_forward_calls_per_epoch"][0] == 2

@@ -281,6 +281,15 @@ def test_invalid_lambda_combination():
         TrainConfig(lambda1=0.7, lambda2=0.4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("generator_lr", math.inf), ("generator_lr", math.nan), ("disc_lr", math.inf),
+    ("disc_lr", math.nan), ("c_threshold", math.inf), ("c_threshold", -math.inf),
+    ("c_threshold", math.nan)])
+def test_nonfinite_rates_and_threshold_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
 def test_eo_and_eopp_criteria_run(datasets):
     train, val, _ = datasets
     for criterion in ("EO", "EOPP"):
