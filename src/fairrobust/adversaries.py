@@ -34,20 +34,19 @@ predictions, which ``nnet`` reads as one (1, n) row, and runs its head's
 forward and backward pass on (groups, rows) memory. The
 robustness payoff always computes its value, the prediction gradient (which is
 analytic, from the forward pass) and the label scores, each training row
-scored with its own label; the two backward passes for the adversary's
-parameter gradients run only with ``param_grads=True``, the default, which an
-ascent step needs and the generator's evaluation does not. The robustness
-adversary's input rows do not depend on the predictions, so
-``robustness_rows`` builds them once per run from the run's training and
-validation ``Dataset``s, together with the forward caches whose feature-major
-hidden-layer buffers and outputs every evaluation of that run reuses, and the
-position of each training row's own-label slot (the rows stay as
-``np.vstack`` builds them: only matmuls read them, and those gain nothing
-measurable from another layout). Its forward passes do not depend on the
-predictions either: an evaluation reruns them only when the adversary's
-parameters differ from those the caches were computed with, so the
-generator's evaluation at the end of an epoch and the first ascent step of the
-next share one pass.
+scored with its own label; the backward pass for the adversary's parameter
+gradients runs only with ``param_grads=True``, the default, which an ascent
+step needs and the generator's evaluation does not. The adversary is one
+classifier of one mixed batch, so ``robustness_rows`` builds its rows once per
+run as one stack: each training row with label slot 1, each with slot 0, then
+each validation row with its true label (the rows stay as ``np.vstack`` builds
+them: only matmuls read them). It keeps them in the forward cache whose
+feature-major buffers every evaluation of the run reuses, with the position of
+each training row's own-label slot. The forward pass does not depend on the
+predictions either: an evaluation reruns it only when the adversary's
+parameters differ from those the cache was computed with, so the generator's
+evaluation at the end of an epoch and the first ascent step of the next share
+one pass, and an ascent step runs one backward pass over the same rows.
 """
 
 from __future__ import annotations
@@ -274,22 +273,21 @@ def robustness_inputs(features, z, label_slot, z_cardinality: int) -> np.ndarray
 @dataclass
 class RobustnessRows:
     """The robustness adversary's input rows, which do not depend on predictions,
-    held in the forward caches that every evaluation writes into.
+    held in the forward cache that every evaluation writes into.
 
-    ``train.x`` holds (x_i, onehot z_i, 1) for every training row, followed by
-    (x_i, onehot z_i, 0) for every training row, so one forward pass scores
-    both label slots; ``own[i]`` is the position of row i's own-label slot,
-    (x_i, onehot z_i, y_i), in that pass. ``val.x`` holds
-    (x_j, onehot z_j, y_j). ``params`` holds the bytes of the adversary's
-    parameter vector that ``train`` and ``val`` were computed with. A
-    ``robustness_objective`` call whose adversary differs from them reruns
-    both forward passes, and each call runs its backward passes if any, in
-    the (hidden, rows) buffers of ``train`` and ``val``, so a run allocates
-    them once; nothing that the call returns shares memory with them.
+    ``cache.x`` holds (x_i, onehot z_i, 1) for every training row, then
+    (x_i, onehot z_i, 0) for every training row, then (x_j, onehot z_j, y_j)
+    for every validation row; ``own[i]`` is the position of training row i's
+    own-label slot, (x_i, onehot z_i, y_i), and ``len(own)`` the number of
+    training rows. ``params`` holds the bytes of the adversary's parameter
+    vector that ``cache`` was computed with. A ``robustness_objective`` call
+    reruns the forward pass when its adversary differs from them, and runs it
+    and its backward pass, if any, in the (hidden, rows) buffers of ``cache``,
+    so a run allocates them once; nothing that the call returns shares memory
+    with them.
     """
 
-    train: ForwardCache
-    val: ForwardCache
+    cache: ForwardCache
     params: bytes
     own: np.ndarray
 
@@ -312,13 +310,10 @@ def robustness_rows(adv: MLPModel, train: Dataset, val: Dataset) -> RobustnessRo
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
     k, m = train.z_cardinality, len(train)
-    x_va = robustness_inputs(val.features, val.sensitive, val.labels, k)
-    x_pos = robustness_inputs(train.features, train.sensitive, np.ones(m), k)
-    x_neg = x_pos.copy()
-    x_neg[:, -1] = 0.0
-    return RobustnessRows(forward_with_cache(adv, np.vstack([x_pos, x_neg])),
-                          forward_with_cache(adv, x_va), _param_bytes(adv),
-                          np.arange(m) + m * (train.labels == 0))
+    stack = [robustness_inputs(d.features, d.sensitive, slot, k)
+             for d, slot in ((train, np.ones(m)), (train, np.zeros(m)), (val, val.labels))]
+    return RobustnessRows(forward_with_cache(adv, np.vstack(stack)),
+                          _param_bytes(adv), np.arange(m) + m * (train.labels == 0))
 
 
 @dataclass(frozen=True)
@@ -382,7 +377,7 @@ class RobustnessEval:
 
     ``value``, ``prediction_grad`` and ``label_scores`` come from the forward
     pass and are always set. ``grads``, the adversary's parameter gradients,
-    needs two backward passes and is None when evaluated with
+    needs a backward pass and is None when evaluated with
     ``param_grads=False``.
     """
 
@@ -454,23 +449,21 @@ def robustness_objective(adv: MLPModel, rows: RobustnessRows, train_predictions,
     [log(1 - D(., 1)) - log(1 - D(., 0))] / 2m.
 
     ``rows`` comes from ``robustness_rows``, and ``train_predictions`` holds
-    one yhat per training row. The two forward passes rerun only when
-    ``adv``'s parameters differ from those ``rows`` last saw; the adversary's
-    parameter gradients are computed only when ``param_grads`` is set.
+    one yhat per training row. The forward pass reruns only when ``adv``'s
+    parameters differ from those ``rows`` last saw; the parameter gradients,
+    one backward pass over the same rows, are computed only when
+    ``param_grads`` is set.
     """
     yhat = np.asarray(train_predictions, dtype=np.float64).reshape(-1)
-    m_tr, m_va = len(yhat), len(rows.val.x)
-    if len(rows.train.x) != 2 * m_tr:
-        raise ValueError(f"{m_tr} predictions for {len(rows.train.x) // 2} training rows")
+    m_tr = len(rows.own)
+    if len(yhat) != m_tr:
+        raise ValueError(f"{len(yhat)} predictions for {m_tr} training rows")
     params = _param_bytes(adv)
     if params != rows.params:
-        rows.train = forward_with_cache(adv, rows.train.x, rows.train)
-        rows.val = forward_with_cache(adv, rows.val.x, rows.val)
+        rows.cache = forward_with_cache(adv, rows.cache.x, rows.cache)
         rows.params = params
-    cache_tr, cache_va = rows.train, rows.val
-    d_tr = cache_tr.output.ravel()
-    d_pos, d_neg = d_tr[:m_tr], d_tr[m_tr:]
-    d_va = cache_va.output.ravel()
+    d = rows.cache.output.ravel()
+    d_pos, d_neg, d_va = d[:m_tr], d[m_tr:2 * m_tr], d[2 * m_tr:]
     log_pos = np.log(1.0 - d_pos)
     log_neg = np.log(1.0 - d_neg)
     value = (
@@ -480,11 +473,8 @@ def robustness_objective(adv: MLPModel, rows: RobustnessRows, train_predictions,
     )
     grads = None
     if param_grads:
-        up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
-        up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
-                 / (2.0 * m_tr))[:, None]
-        g_va = backward(adv, cache_va, up_va, input_grad=False)
-        g_tr = backward(adv, cache_tr, up_tr, input_grad=False)
-        grads = Gradients([a + b for a, b in zip(g_va.weights, g_tr.weights)],
-                          [a + b for a, b in zip(g_va.biases, g_tr.biases)], None)
-    return RobustnessEval(value, grads, (log_pos - log_neg) / (2.0 * m_tr), d_tr[rows.own])
+        up = np.concatenate([-yhat / (1.0 - d_pos) / (2.0 * m_tr),
+                             (yhat - 1.0) / (1.0 - d_neg) / (2.0 * m_tr),
+                             1.0 / (2.0 * len(d_va) * d_va)])
+        grads = backward(adv, rows.cache, up[:, None], input_grad=False)
+    return RobustnessEval(value, grads, (log_pos - log_neg) / (2.0 * m_tr), d[rows.own])

@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .harness import ExperimentSpec, run_experiment
 from .nnet import load_model, save_model
-from .poison import PoisonSpec, flip_labels
+from .poison import POISON_STRATEGIES, PoisonSpec, flip_labels
 from .trainer import ConfigError, TrainConfig, evaluate_model, from_json, train_fair_robust
 
 
@@ -122,6 +122,8 @@ def _cmd_aggregate_crowd(args) -> int:
 
 
 def _cmd_verify_mi(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, not {args.trials}")
     rng = np.random.default_rng(args.seed)
 
     def joint(shape):
@@ -163,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--group", type=int)
     p.add_argument("--fraction", type=float)
-    p.add_argument("--strategy", choices=["degradation-surrogate", "random"])
+    p.add_argument("--strategy", choices=POISON_STRATEGIES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_poison)

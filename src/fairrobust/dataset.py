@@ -321,19 +321,20 @@ def filter_workers(responses, gold: dict[int, int], min_accuracy: float):
 
 def load_crowd_csv(path) -> list[CrowdResponse]:
     """Read ``question_id, worker_id, rating`` rows."""
+    columns = ("question_id", "worker_id", "rating")
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        for col in ("question_id", "worker_id", "rating"):
+        for col in columns:
             if col not in (reader.fieldnames or []):
                 raise DataError(f"missing required column {col!r}")
         for row_num, row in enumerate(reader, start=1):
+            cells = [row[col] for col in columns]
+            if None in cells:
+                raise DataError(f"row {row_num}: no value in column {columns[cells.index(None)]!r}")
             try:
-                out.append(
-                    CrowdResponse(
-                        int(row["question_id"]), int(row["worker_id"]), int(row["rating"])
-                    )
-                )
+                values = [int(cell) for cell in cells]
             except ValueError:
                 raise DataError(f"row {row_num}: non-integer cell") from None
+            out.append(CrowdResponse(*values))
     return out

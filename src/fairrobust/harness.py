@@ -28,7 +28,7 @@ import numpy as np
 
 from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
 from .dataset import SyntheticSpec, load_csv
-from .poison import train_surrogate
+from .poison import POISON_STRATEGIES, train_surrogate
 from .trainer import ConfigError, TrainConfig, evaluate_model, train_fair_robust
 
 RUN_FIELDS = ["lambda1", "lambda2", "seed", "acc", "di", "eo0", "eo1", "eopp", "runtime_s"]
@@ -61,6 +61,8 @@ class ExperimentSpec:
             raise ConfigError("grid must be nonempty")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
+        if self.poison_strategy not in POISON_STRATEGIES:
+            raise ConfigError(f"poison_strategy must be one of {POISON_STRATEGIES}")
         has_synth = self.synthetic is not None
         has_csv = self.train_csv is not None
         if has_synth == has_csv:

@@ -134,7 +134,8 @@ def accuracy(predictions, labels) -> float:
 
 
 def confusion_by_group(predictions, labels, z) -> dict[int, np.ndarray]:
-    """Per-group 2x2 count matrices, rows = true label, columns = prediction."""
+    """Per-group 2x2 count matrices, rows = true label, columns = prediction, for
+    each nonnegative group code that occurs; predictions and labels are 0 or 1."""
     predictions = _as_int_array(predictions)
     labels = _as_int_array(labels)
     z = _as_int_array(z)
@@ -142,14 +143,14 @@ def confusion_by_group(predictions, labels, z) -> dict[int, np.ndarray]:
         raise ValueError("inputs must have equal length")
     if len(z) == 0:
         raise ValueError("empty input")
-    out = {}
-    for code in np.unique(z):
-        mask = z == code
-        mat = np.zeros((2, 2), dtype=np.int64)
-        for y, p in zip(labels[mask], predictions[mask]):
-            mat[y, p] += 1
-        out[int(code)] = mat
-    return out
+    if z.min() < 0:
+        raise ValueError("group codes must be nonnegative")
+    for name, values in (("predictions", predictions), ("labels", labels)):
+        if ((values != 0) & (values != 1)).any():
+            raise ValueError(f"{name} must be 0 or 1")
+    table = np.bincount(4 * z + 2 * labels + predictions,
+                        minlength=4 * (z.max() + 1)).reshape(-1, 2, 2)
+    return {int(code): table[code] for code in np.flatnonzero(table.any(axis=(1, 2)))}
 
 
 def empirical_entropy(codes) -> float:

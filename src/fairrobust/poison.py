@@ -12,6 +12,9 @@ from .trainer import (ConfigError, TrainConfig, model_inputs, predict,
                       train_logistic_baseline)
 
 
+POISON_STRATEGIES = ("degradation-surrogate", "random")
+
+
 class PoisonBudgetError(DataError):
     """Requested flips exceed the target group's size."""
 
@@ -33,7 +36,7 @@ class PoisonSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigError("fraction must lie in [0, 1]")
-        if self.strategy not in ("degradation-surrogate", "random"):
+        if self.strategy not in POISON_STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 

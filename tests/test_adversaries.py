@@ -421,17 +421,16 @@ def test_robustness_label_scores_use_each_rows_own_label():
 
 
 def _reference_robustness(adv, z_cardinality, x_tr, z_tr, y_tr, yhat, x_va, z_va, y_va):
-    """The robustness payoff with every input row rebuilt and full backward passes;
-    each training row's label score is picked from its own label's slot."""
+    """The robustness payoff with every input row rebuilt and one full forward and
+    backward pass over the stacked rows; each training row's label score is
+    picked from its own label's slot."""
     x_pos = robustness_inputs(x_tr, z_tr, np.ones_like(yhat), z_cardinality)
     x_va = robustness_inputs(x_va, z_va, y_va, z_cardinality)
     x_neg = x_pos.copy()
     x_neg[:, -1] = 0.0
     m_tr, m_va = len(x_pos), len(x_va)
-    cache_tr = forward_with_cache(adv, np.vstack([x_pos, x_neg]))
-    cache_va = forward_with_cache(adv, x_va)
-    d_pos, d_neg = np.split(cache_tr.output.ravel(), 2)
-    d_va = cache_va.output.ravel()
+    cache = forward_with_cache(adv, np.vstack([x_pos, x_neg, x_va]))
+    d_pos, d_neg, d_va = np.split(cache.output.ravel(), [m_tr, 2 * m_tr])
     log_pos = np.log(1.0 - d_pos)
     log_neg = np.log(1.0 - d_neg)
     value = (
@@ -439,15 +438,13 @@ def _reference_robustness(adv, z_cardinality, x_tr, z_tr, y_tr, yhat, x_va, z_va
         + float((yhat * log_pos + (1.0 - yhat) * log_neg).sum()) / (2.0 * m_tr)
         + math.log(2.0)
     )
-    up_va = (1.0 / (2.0 * m_va * d_va))[:, None]
-    up_tr = (-np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)])
-             / (2.0 * m_tr))[:, None]
-    g_va = backward(adv, cache_va, up_va)
-    g_tr = backward(adv, cache_tr, up_tr)
+    up_tr = -np.concatenate([yhat / (1.0 - d_pos), (1.0 - yhat) / (1.0 - d_neg)]) / (2.0 * m_tr)
+    up_va = 1.0 / (2.0 * m_va * d_va)
+    grads = backward(adv, cache, np.concatenate([up_tr, up_va])[:, None])
     return {
         "value": value,
-        "weight_grads": [a + b for a, b in zip(g_va.weights, g_tr.weights)],
-        "bias_grads": [a + b for a, b in zip(g_va.biases, g_tr.biases)],
+        "weight_grads": grads.weights,
+        "bias_grads": grads.biases,
         "prediction_grad": (log_pos - log_neg) / (2.0 * m_tr),
         "label_scores": np.where(np.asarray(y_tr) == 1, d_pos, d_neg),
     }
@@ -486,7 +483,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     val = Dataset(rng.normal(size=(10, 2)), rng.integers(0, 2, 10), rng.integers(0, 2, 10))
     rows = robustness_rows(adv, Dataset(x_tr, z_tr, np.arange(50) % 2), val)
     yhat = rng.uniform(0.05, 0.95, 50)
-    setup = [(c.hidden, c.work) for c in (rows.train, rows.val)]
+    setup = (rows.cache.hidden, rows.cache.work)
     caches = []
 
     def recording_forward(model, x, reuse=None):
@@ -499,11 +496,10 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
     sgd_step(adv, first.grads, -0.5)
     later = robustness_objective(adv, rows, rng.uniform(0.05, 0.95, 50))
 
-    assert len(caches) == 2  # the first call reuses the set-up pass, the second reruns it
+    assert len(caches) == 1  # the first call reuses the set-up pass, the second reruns it
     # The rerun writes into the buffers allocated at set-up.
-    for cache, buffers in zip(caches, setup, strict=True):
-        for got, allocated in zip((cache.hidden, cache.work), buffers, strict=True):
-            assert np.shares_memory(got, allocated)
+    for got, allocated in zip((caches[0].hidden, caches[0].work), setup, strict=True):
+        assert np.shares_memory(got, allocated)
     assert later.value != first.value
 
     def arrays(ev):
@@ -511,7 +507,7 @@ def test_robustness_calls_reuse_the_rows_buffers_and_return_unaliased_results(mo
 
     for got, want in zip(arrays(first), arrays(kept), strict=True):
         assert np.array_equal(got, want)
-        assert not any(np.shares_memory(got, buffer) for buffers in setup for buffer in buffers)
+        assert not any(np.shares_memory(got, buffer) for buffer in setup)
 
 
 def test_robustness_reruns_the_forward_pass_after_a_one_ulp_parameter_change():
@@ -535,7 +531,7 @@ def test_robustness_reruns_the_forward_pass_after_a_one_ulp_parameter_change():
             assert np.array_equal(a, b)
 
 
-def test_a_run_computes_one_robustness_forward_pair_per_parameter_state(monkeypatch):
+def test_a_run_computes_one_robustness_forward_pass_per_parameter_state(monkeypatch):
     train, val, _ = benchmarks.benchmark_datasets(0, 0.1)
     cfg = replace(benchmarks.poisoned_config(0), epochs=3, pretrain_epochs=2)
     passes = []
@@ -547,9 +543,10 @@ def test_a_run_computes_one_robustness_forward_pair_per_parameter_state(monkeypa
 
     monkeypatch.setattr(adversaries, "forward_with_cache", counting_forward)
     train_fair_robust(train, val, cfg)
-    # The set-up pair, then one pair after each ascent step: the evaluation at
+    # The set-up pass, then one pass after each ascent step: the evaluation at
     # the end of an epoch and the next epoch's first ascent share theirs.
-    assert passes == [2 * len(train.labels), len(val.labels)] * (1 + cfg.update_ratio * cfg.epochs)
+    rows = 2 * len(train.labels) + len(val.labels)
+    assert passes == [rows] * (1 + cfg.update_ratio * cfg.epochs)
 
 
 def test_robustness_rows_reject_a_prediction_count_mismatch():

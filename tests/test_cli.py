@@ -94,10 +94,12 @@ def test_sweep_command(tmp_path, capsys):
      "synthetic.mean_neg must be a list of 2 items, not [1, 2, 3]"),
     ({"seeds": [0], "synthetic": {"mean_neg": [1, "x"]}},
      'synthetic.mean_neg[1] must be a number, not "x"'),
+    ({"seeds": [0], "synthetic": {}, "poison_fraction": 0.1, "poison_strategy": "bogus"},
+     "poison_strategy must be one of ('degradation-surrogate', 'random')"),
 ], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
         "int_split_fractions", "short_split_fractions", "string_epochs", "string_n",
         "list_spec", "negative_n", "indefinite_cov_neg", "string_cov_neg", "long_mean_neg",
-        "string_mean_neg"])
+        "string_mean_neg", "unknown_poison_strategy"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
@@ -240,10 +242,33 @@ def test_aggregate_crowd_command(tmp_path, capsys):
     assert all(not line.startswith("3,") for line in out[1:])
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,2", "row 2: no value in column 'rating'"),
+    ("1", "row 2: no value in column 'worker_id'"),
+    ("1,2,x", "row 2: non-integer cell"),
+    ("1,2,9", "rating must be in 1..4, got 9"),
+], ids=["short_row", "one_cell", "non_integer", "rating_out_of_range"])
+def test_aggregate_crowd_bad_row_exits_2(tmp_path, capsys, row, message):
+    responses = tmp_path / "responses.csv"
+    responses.write_text(f"question_id,worker_id,rating\n1,0,4\n{row}\n")
+    out = tmp_path / "labels.csv"
+    assert main(["aggregate-crowd", "--responses", str(responses), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"fairrobust aggregate-crowd: error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_mi_command(capsys):
     assert main(["verify-mi", "--trials", "20", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_mi_rejects_fewer_than_one_trial(capsys, trials):
+    assert main(["verify-mi", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"fairrobust verify-mi: error: --trials must be at least 1, not {trials}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),

@@ -259,6 +259,42 @@ def test_group_confusion_sums_to_global():
     assert np.array_equal(total, global_mat)
 
 
+def _confusion_by_loop(preds, labels, z):
+    """Per-group confusion counts, one row at a time."""
+    out = {}
+    for code in np.unique(z):
+        mask = z == code
+        mat = np.zeros((2, 2), dtype=np.int64)
+        for y, p in zip(labels[mask], preds[mask]):
+            mat[y, p] += 1
+        out[int(code)] = mat
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_group_confusion_equals_the_row_by_row_count(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    preds, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    z = rng.choice([0, 2, 3, 7], n)  # codes with gaps; some may not occur
+    got = confusion_by_group(preds, labels, z)
+    want = _confusion_by_loop(preds, labels, z)
+    assert list(got) == list(want)
+    for code, mat in want.items():
+        assert got[code].dtype == mat.dtype and np.array_equal(got[code], mat)
+
+
+@pytest.mark.parametrize("preds, labels, z, message", [
+    ([-1, 0, 1], [0, 0, 1], [0, 0, 0], "predictions must be 0 or 1"),
+    ([0, 2, 1], [0, 0, 1], [0, 0, 0], "predictions must be 0 or 1"),
+    ([0, 0, 1], [0, 1, 2], [0, 0, 0], "labels must be 0 or 1"),
+    ([0, 0, 1], [0, 1, 1], [0, -1, 0], "group codes must be nonnegative"),
+], ids=["negative_prediction", "prediction_2", "label_2", "negative_group"])
+def test_group_confusion_rejects_codes_outside_its_table(preds, labels, z, message):
+    with pytest.raises(ValueError, match=message):
+        confusion_by_group(preds, labels, z)
+
+
 def test_report_serializes_flat():
     preds, z = _group_fixture(0.8, 0.4)
     labels = preds  # fully correct

@@ -197,9 +197,9 @@ def test_robustness_adversary_runs_backward_only_in_ascent_steps(datasets, monke
     per_epoch = [True] * cfg.update_ratio + [False]
     assert objective_calls == per_epoch * cfg.epochs
     robust = [grad for width, grad in backward_calls if width == 1]
-    # One validation and one training pass per ascent call, none for the
-    # evaluation call, and no input gradient.
-    assert robust == [False] * (2 * cfg.update_ratio * cfg.epochs)
+    # One pass over the stacked training and validation rows per ascent call,
+    # none for the evaluation call, and no input gradient.
+    assert robust == [False] * (cfg.update_ratio * cfg.epochs)
     fair = [grad for width, grad in backward_calls if width > 1]
     # The fairness ascents skip the input gradient; each epoch's evaluation
     # (one DI head) needs it for the prediction gradient.
