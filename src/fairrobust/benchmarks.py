@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-import numpy as np
-
-from .dataset import Dataset, SyntheticSpec, generate_synthetic, split
+from .dataset import Dataset, SyntheticSpec, derive_seed, generate_synthetic, split
 from .poison import PoisonSpec, flip_labels
 from .trainer import TrainConfig
 
@@ -34,11 +32,6 @@ def seed_count(text: str) -> int:
     return n
 
 
-def derive_seed(seed: int, stream: int) -> int:
-    """Independent integer seed for a named stream of one benchmark run."""
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
-
-
 def benchmark_datasets(seed: int, poison_fraction: float = 0.0
                        ) -> tuple[Dataset, Dataset, Dataset]:
     """(train, val, test) for one benchmark seed.
@@ -55,11 +48,12 @@ def make_datasets(seed: int, fractions, poison_fraction: float, poison_group: in
                   loaded=None, reference_model=None) -> tuple[Dataset, Dataset, Dataset]:
     """The one data pipeline: generate, split, poison the training part.
 
-    Seed streams 0, 1 and 2 of ``seed`` drive generation, the split and the
-    poisoning. ``loaded`` is (train, val or None, test) read from files; it
-    replaces generation, and without a validation part the training rows are
-    split by exactly ``fractions``, whose test share the caller sets to 0.
-    ``reference_model`` goes to ``flip_labels``.
+    Streams 0, 1 and 2 of ``seed`` (``derive_seed``) drive generation, the
+    split and the poisoning; the tuned configs take stream 3. ``loaded`` is
+    (train, val or None, test) read from files; it replaces generation, and
+    without a validation part the training rows are split by exactly
+    ``fractions``, whose test share the caller sets to 0. ``reference_model``
+    goes to ``flip_labels``.
     """
     if loaded is None:
         ds = generate_synthetic(synthetic, derive_seed(seed, 0))

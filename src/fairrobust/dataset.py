@@ -13,6 +13,14 @@ class DataError(ValueError):
     """Malformed data: bad CSV cell, schema violation, or invalid generator spec."""
 
 
+def derive_seed(seed: int, stream: int) -> int:
+    """Independent integer seed for stream ``stream`` of ``seed``, the package's
+    one derivation. A benchmark seed's streams: 0 data, 1 split, 2 poisoning,
+    3 training config; a run's, of the config's seed: 0 generator, 1 fairness
+    heads (head k takes stream k of stream 1), 2 robustness adversary."""
+    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
+
+
 class Dataset:
     """Ordered, immutable collection of examples backed by numpy arrays.
 
@@ -192,6 +200,8 @@ def split(d: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     for a fixed seed.
     """
     f_train, f_val, f_test = fractions
+    if not all(math.isfinite(f) for f in fractions):
+        raise DataError(f"fractions must be finite, got {tuple(fractions)}")
     if min(f_train, f_val, f_test) < 0:
         raise DataError("fractions must be nonnegative")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
@@ -206,6 +216,31 @@ def split(d: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
         d.subset(perm[n_train : n_train + n_val]),
         d.subset(perm[n_train + n_val :]),
     )
+
+
+def _csv_rows(fh, required):
+    """(header, rows) of an open CSV file, each nonblank data row as (row number
+    from 1, {column: cell}). ``DataError`` names a column that the header repeats
+    or, if ``required``, lacks, and a row whose cell count differs from the header's."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise DataError(f"duplicate column {col!r}")
+    for col in required:
+        if col not in header:
+            raise DataError(f"missing required column {col!r}")
+
+    def rows():
+        for row_num, cells in enumerate(filter(None, reader), start=1):
+            if len(cells) < len(header):
+                raise DataError(f"row {row_num}: no value in column {header[len(cells)]!r}")
+            if len(cells) > len(header):
+                raise DataError(
+                    f"row {row_num}: {len(cells)} cells, but the header has {len(header)}")
+            yield row_num, dict(zip(header, cells))
+
+    return header, rows()
 
 
 def save_csv(d: Dataset, path) -> None:
@@ -228,18 +263,14 @@ def load_csv(path) -> Dataset:
     in header order. Errors name the offending row (1-based data row) and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("z", "y"):
-            if col not in header:
-                raise DataError(f"missing required column {col!r}")
+        header, rows = _csv_rows(fh, ("z", "y"))
         feature_columns = [c for c in header if c not in ("z", "y", "w")]
         has_weight = "w" in header
         features, sensitive, labels, weights = [], [], [], []
-        for row_num, row in enumerate(reader, start=1):
+        for row_num, row in rows:
             def cell(col, kind, row=row, row_num=row_num):
-                raw = row.get(col)
-                if raw is None or raw == "":
+                raw = row[col]
+                if raw == "":
                     raise DataError(f"row {row_num}: missing value in column {col!r}")
                 try:
                     value = kind(raw)
@@ -324,16 +355,10 @@ def load_crowd_csv(path) -> list[CrowdResponse]:
     columns = ("question_id", "worker_id", "rating")
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for col in columns:
-            if col not in (reader.fieldnames or []):
-                raise DataError(f"missing required column {col!r}")
-        for row_num, row in enumerate(reader, start=1):
-            cells = [row[col] for col in columns]
-            if None in cells:
-                raise DataError(f"row {row_num}: no value in column {columns[cells.index(None)]!r}")
+        _, rows = _csv_rows(fh, columns)
+        for row_num, row in rows:
             try:
-                values = [int(cell) for cell in cells]
+                values = [int(row[col]) for col in columns]
             except ValueError:
                 raise DataError(f"row {row_num}: non-integer cell") from None
             out.append(CrowdResponse(*values))

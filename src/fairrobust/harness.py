@@ -26,8 +26,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, derive_seed, make_datasets
-from .dataset import SyntheticSpec, load_csv
+from .benchmarks import POISON_GROUP, SPLIT_FRACTIONS, make_datasets
+from .dataset import SyntheticSpec, derive_seed, load_csv
 from .poison import POISON_STRATEGIES, train_surrogate
 from .trainer import ConfigError, TrainConfig, evaluate_model, train_fair_robust
 
@@ -63,6 +63,10 @@ class ExperimentSpec:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.poison_strategy not in POISON_STRATEGIES:
             raise ConfigError(f"poison_strategy must be one of {POISON_STRATEGIES}")
+        fractions = [(f"split_fractions[{i}]", f) for i, f in enumerate(self.split_fractions)]
+        for name, value in fractions + [("poison_fraction", self.poison_fraction)]:
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ConfigError(f"{name} must lie in [0, 1], not {value}")
         has_synth = self.synthetic is not None
         has_csv = self.train_csv is not None
         if has_synth == has_csv:

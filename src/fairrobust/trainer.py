@@ -29,7 +29,7 @@ from .adversaries import (
     robustness_objective,
     robustness_rows,
 )
-from .dataset import Dataset
+from .dataset import Dataset, derive_seed
 from .metrics import (
     MetricsReport,
     UndefinedGroupError,
@@ -266,12 +266,6 @@ def evaluate_model(model: MLPModel, d: Dataset) -> MetricsReport:
                           d.labels, d.sensitive, z_cardinality=d.z_cardinality)
 
 
-def _child_seed(seed: int, index: int) -> int:
-    """Seed of the ``index``-th child of ``seed``: the first state word of
-    ``SeedSequence(seed).spawn(n)[index]``, for any n above ``index``."""
-    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
-
-
 def _fairness_strata(criterion: str, labels: np.ndarray) -> np.ndarray:
     """Per-row stratum of the fairness payoff: one stratum for DI, the label for
     EO, and the positive-label rows alone (others left out, -1) for EOPP."""
@@ -312,20 +306,20 @@ def train_fair_robust(train: Dataset, val: Dataset | None, cfg: TrainConfig
     y_float = y.astype(np.float64)
     groups = group_plan(z)  # the probe's groups, checked and counted once
     lam0 = 1.0 - cfg.lambda1 - cfg.lambda2
-    gen = init_model(MLPSpec(input_dim=x.shape[1]), _child_seed(cfg.seed, 0))
+    gen = init_model(MLPSpec(input_dim=x.shape[1]), derive_seed(cfg.seed, 0))
     opt_gen = init_optimizer(cfg.generator_lr, gen)
 
-    heads = {}  # one fairness head per stratum of the plan; head k seeds from child k of child 1
+    heads = {}  # one fairness head per stratum of the plan; head k seeds from stream k of stream 1
     fair_rows = None
     if cfg.lambda1 > 0:
         fair_rows = fairness_rows(z, _fairness_strata(cfg.fairness_criterion, y))
-        fair_seed = _child_seed(cfg.seed, 1)
-        heads = {s.key: new_fairness_adversary(train.z_cardinality, _child_seed(fair_seed, s.key))
+        fair_seed = derive_seed(cfg.seed, 1)
+        heads = {s.key: new_fairness_adversary(train.z_cardinality, derive_seed(fair_seed, s.key))
                  for s in fair_rows.strata}
     robustness = rob_rows = None
     if cfg.lambda2 > 0:
         robustness = new_robustness_adversary(train.feature_dim, train.z_cardinality,
-                                              ROBUST_HIDDEN, _child_seed(cfg.seed, 2))
+                                              ROBUST_HIDDEN, derive_seed(cfg.seed, 2))
         rob_rows = robustness_rows(robustness, train, val)
 
     history = TrainHistory()

@@ -96,10 +96,17 @@ def test_sweep_command(tmp_path, capsys):
      'synthetic.mean_neg[1] must be a number, not "x"'),
     ({"seeds": [0], "synthetic": {}, "poison_fraction": 0.1, "poison_strategy": "bogus"},
      "poison_strategy must be one of ('degradation-surrogate', 'random')"),
+    ({"seeds": [0], "synthetic": {}, "split_fractions": [0.8, math.nan, 0.1]},
+     "split_fractions[1] must lie in [0, 1], not nan"),
+    ({"seeds": [0], "synthetic": {}, "split_fractions": [1.5, -0.5, 0.0]},
+     "split_fractions[0] must lie in [0, 1], not 1.5"),
+    ({"seeds": [0], "synthetic": {}, "poison_fraction": math.inf},
+     "poison_fraction must lie in [0, 1], not inf"),
 ], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
         "int_split_fractions", "short_split_fractions", "string_epochs", "string_n",
         "list_spec", "negative_n", "indefinite_cov_neg", "string_cov_neg", "long_mean_neg",
-        "string_mean_neg", "unknown_poison_strategy"])
+        "string_mean_neg", "unknown_poison_strategy", "nan_split_fraction",
+        "split_fraction_above_1", "infinite_poison_fraction"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
@@ -247,7 +254,8 @@ def test_aggregate_crowd_command(tmp_path, capsys):
     ("1", "row 2: no value in column 'worker_id'"),
     ("1,2,x", "row 2: non-integer cell"),
     ("1,2,9", "rating must be in 1..4, got 9"),
-], ids=["short_row", "one_cell", "non_integer", "rating_out_of_range"])
+    ("1,0,4,7", "row 2: 4 cells, but the header has 3"),
+], ids=["short_row", "one_cell", "non_integer", "rating_out_of_range", "long_row"])
 def test_aggregate_crowd_bad_row_exits_2(tmp_path, capsys, row, message):
     responses = tmp_path / "responses.csv"
     responses.write_text(f"question_id,worker_id,rating\n1,0,4\n{row}\n")

@@ -14,6 +14,7 @@ from fairrobust.dataset import (
     aggregate_crowd_labels,
     filter_workers,
     generate_synthetic,
+    load_crowd_csv,
     load_csv,
     save_csv,
     sensitive_probability,
@@ -113,6 +114,14 @@ def test_split_union_recovers_input():
     assert sum(len(p) for p in parts) == len(ds)
 
 
+@pytest.mark.parametrize("fractions", [(math.nan, 0.1, 0.1), (0.8, math.nan, 0.1),
+                                       (0.8, 0.1, math.inf)])
+def test_split_rejects_a_non_finite_fraction(fractions):
+    ds = generate_synthetic(SyntheticSpec(n=100), seed=1)
+    with pytest.raises(DataError, match="fractions must be finite"):
+        split(ds, fractions, seed=2)
+
+
 def test_split_deterministic():
     ds = generate_synthetic(SyntheticSpec(n=400), seed=4)
     a = split(ds, (0.5, 0.3, 0.2), seed=13)
@@ -175,6 +184,31 @@ def test_csv_missing_column(tmp_path):
     path.write_text("x0,y\n0.1,1\n")
     with pytest.raises(DataError, match="'z'"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_csv, "x0,z,y\n0.1,0,1\n2.5,1,0,9\n", "row 2: 4 cells, but the header has 3"),
+    (load_csv, "x0,z,y\n0.1,0\n", "row 1: no value in column 'y'"),
+    (load_csv, "x0,x0,z,y\n1,2,0,1\n", "duplicate column 'x0'"),
+    (load_csv, "x0,z,y,z\n1,0,1,0\n", "duplicate column 'z'"),
+    (load_crowd_csv, "question_id,worker_id,rating,rating\n1,0,4,3\n",
+     "duplicate column 'rating'"),
+], ids=["long_row", "short_row", "duplicate_feature", "duplicate_group", "crowd_duplicate"])
+def test_csv_header_and_row_shape_are_checked(tmp_path, load, text, message):
+    # The crowd reader's long and short rows are cases of
+    # test_cli::test_aggregate_crowd_bad_row_exits_2.
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        load(path)
+
+
+def test_csv_readers_skip_blank_lines(tmp_path):
+    data, crowd = tmp_path / "d.csv", tmp_path / "c.csv"
+    data.write_text("x0,z,y\n\n0.5,1,0\n\n")
+    crowd.write_text("question_id,worker_id,rating\n\n1,0,4\n")
+    assert load_csv(data) == Dataset([[0.5]], [1], [0])
+    assert load_crowd_csv(crowd) == [CrowdResponse(1, 0, 4)]
 
 
 def test_aggregate_crowd_mean_above_threshold():

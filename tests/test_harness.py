@@ -286,6 +286,15 @@ def test_invalid_grid_config_fails_only_its_own_rows():
     assert [a["n_ok"] for a in aggregates] == [2, 0]
 
 
+def test_non_finite_grid_fraction_fails_only_its_own_row():
+    # The spec's own fractions are checked up front; a grid value is checked
+    # by the split its row makes.
+    spec = tiny_spec(seeds=[0], sweep_axis="val_fraction", grid=[0.1, float("nan")])
+    rows, _ = run_experiment(spec)
+    assert sorted((r["status"], r["error"]) for r in rows) == [
+        ("failed", "DataError: fractions must be finite, got (nan, nan, 0.1)"), ("ok", "")]
+
+
 def test_csv_spec_hashes_only_the_split_it_makes(tmp_path):
     # With train_csv only the validation share is used, so the train and
     # test shares of split_fractions must not change a row or its hash.

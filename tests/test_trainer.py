@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrobust import adversaries, benchmarks, poison, trainer
-from fairrobust.dataset import DataError, Dataset, SyntheticSpec, generate_synthetic, split
+from fairrobust.dataset import (DataError, Dataset, SyntheticSpec, derive_seed,
+                                generate_synthetic, split)
 from fairrobust.metrics import disparate_impact
 from fairrobust.nnet import MLPSpec, init_model
 from fairrobust.trainer import (
@@ -162,15 +163,27 @@ def test_nan_feature_row_is_data_error_at_construction(datasets):
         Dataset(features, train.sensitive, train.labels, z_cardinality=train.z_cardinality)
 
 
-def test_runaway_adversary_step_raises_training_diverged(datasets):
-    # Finite data and a valid config: an SGD step of 1e300 on the robustness
-    # adversary overflows its next forward pass, and training stops with the
-    # one divergence error.
+def test_runaway_adversary_step_raises_training_diverged(datasets, monkeypatch):
+    # Finite data and a valid config: a robustness adversary that a runaway
+    # step has overflowed has a non-finite forward pass, and training stops
+    # with the one divergence error, whatever the initial draw. The adversary
+    # is built overflowed, because a real 1e300 step overflows only on some
+    # draws: on others it leaves every output at the probability clamp, where
+    # the gradient is exactly 0, and the adversary stops moving.
     train, val, _ = datasets
-    cfg = small_config(lambda1=0.3, lambda2=0.2, epochs=5, disc_lr=1e300)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError):
-            train_fair_robust(train, val, cfg)
+    real = trainer.new_robustness_adversary
+
+    def overflowed(*args):
+        adv = real(*args)
+        adv.params[:] = np.inf
+        return adv
+
+    monkeypatch.setattr(trainer, "new_robustness_adversary", overflowed)
+    for seed in range(8):
+        cfg = small_config(lambda1=0.3, lambda2=0.2, epochs=5, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                train_fair_robust(train, val, cfg)
 
 
 def test_robustness_adversary_runs_backward_only_in_ascent_steps(datasets, monkeypatch):
@@ -230,11 +243,27 @@ def test_eo_run_builds_the_fairness_plan_once(datasets, monkeypatch):
                      + ["objective"] * ((cfg.update_ratio + 1) * cfg.epochs))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1, 987654321987])
-def test_child_seed_is_the_spawned_childs_seed(seed):
-    spawned = np.random.SeedSequence(seed).spawn(3)
-    assert [trainer._child_seed(seed, i) for i in range(3)] == [
-        int(child.generate_state(1)[0]) for child in spawned]
+@pytest.mark.parametrize("criterion, strata", [("DI", [0]), ("EO", [0, 1])])
+def test_models_are_seeded_from_streams_of_the_config_seed(datasets, criterion, strata,
+                                                           monkeypatch):
+    # Generator: stream 0; head k: stream k of stream 1; robustness adversary:
+    # stream 2.
+    train, val, _ = datasets
+    cfg = replace(benchmarks.poisoned_config(0), fairness_criterion=criterion, epochs=1,
+                  pretrain_epochs=0)
+    real, drawn = trainer.init_model, []  # (hidden units, outputs, seed) of each model
+
+    def recording(spec, seed):
+        drawn.append((spec.hidden_dim, spec.output_dim, seed))
+        return real(spec, seed)
+
+    monkeypatch.setattr(trainer, "init_model", recording)
+    monkeypatch.setattr(adversaries, "init_model", recording)
+    train_fair_robust(train, val, cfg)
+
+    assert drawn == ([(0, 1, derive_seed(cfg.seed, 0))]
+                     + [(0, 2, derive_seed(derive_seed(cfg.seed, 1), k)) for k in strata]
+                     + [(trainer.ROBUST_HIDDEN, 1, derive_seed(cfg.seed, 2))])
 
 
 def test_fairness_heads_follow_the_plans_strata(datasets, monkeypatch):
@@ -259,9 +288,7 @@ def test_fairness_heads_follow_the_plans_strata(datasets, monkeypatch):
     monkeypatch.setattr(trainer, "fairness_objective", recording_objective)
     train_fair_robust(positives, val, cfg)
 
-    fairness_seed = np.random.SeedSequence(cfg.seed).spawn(3)[1].generate_state(1)[0]
-    child = np.random.SeedSequence(int(fairness_seed)).spawn(2)[1]
-    want = real_new(train.z_cardinality, int(child.generate_state(1)[0]))
+    want = real_new(train.z_cardinality, derive_seed(derive_seed(cfg.seed, 1), 1))
     assert len(initial) == 1 and keys == {1}
     for got, expected in zip(initial[0], want.weights + want.biases, strict=True):
         assert np.array_equal(got, expected)
@@ -347,9 +374,9 @@ def fingerprint_run(train, val, cfg):
 
 
 GOLDEN = {
-    ('DI', 0): [723.842948404498, 0.6998469845049279, 16.612032634805747, 723.8429484296564, 16.612032634805747, 819.999999934045, 391.78937500000006, 624.9177741790097, -0.2612463969064796, 0.40982804924732164, 0.6006843157430104, -0.9035119363068846, -0.1570350555788815],
-    ('EO', 0): [725.003940915891, 0.1377186338532101, 16.10532886728253, 725.0039409236739, 16.10532886728253, 819.9999999796904, 395.273125, 650.0563651683755, -0.2682021842067181, 0.4538097341051314, 0.5807094561814096, -0.9009071280621824, -0.08927926257962854],
-    ('EOPP', 0): [680.7278456718005, -2.333622338980747, 6.629726433629165, 680.7278456718005, 6.629726433629165, 820.0, 483.209375, 431.89171648594163, -0.2257949461602508, 0.794099069324457, 0.6188479024814264, -0.8995384910760782, -0.31666175609169245],
+    ('DI', 0): [549.3963479266001, -5.288478255964307, -15.964318854332262, 549.3963479266001, -15.964318854332262, 820.0, 522.709375, 637.4746276634744, 0.3075600300372176, -0.1008130891856356, -0.38086451818498596, 0.5013814048465339, -0.3428093715655382],
+    ('EO', 0): [619.1129128712432, -47.9978413234541, -13.771938135880362, 619.1129128712432, -13.771938135880362, 820.0, 520.918125, 685.0178037827817, 0.6853583200876604, -0.15514075067480562, -0.1580091740032731, 0.005177900882226752, -0.4257848617333042],
+    ('EOPP', 0): [564.324007830618, 3.4541000506784707, -18.111547467568222, 564.324007830618, -18.111547467568222, 820.0, 482.658125, 532.7087581438907, 0.13053761493118973, -0.12415888396270684, -0.40081605798664616, 0.5028917039213764, -0.25610158577732306],
 }
 
 
@@ -387,14 +414,14 @@ def logistic_run(fit, poison_fraction):
 # logistic baseline on the 10% poisoned split, and the 800-epoch surrogate
 # that poisoning ranks rows with, on the clean split (name: (run, fingerprint)).
 STANDARD = {
-    "eo_config clean": (functools.partial(fair_robust_run, benchmarks.eo_config, 0.0), [628988.0328040927, 3214.430277744188, 38753.021109018635, 628988.4965000288, 38753.021109018635, 2000997.249858219, 1724677.26375, 1132859.1350006792, 0.4072673687890506, 0.9419823460411987, 0.48585529053549426, -0.6257403097307673, 0.005410432373278346]),
-    "poisoned_config 10%": (functools.partial(fair_robust_run, benchmarks.poisoned_config, 0.1), [1231211.4412603255, 4937.722045745137, 106053.98378989857, 1231234.1233911484, 106053.98378989857, 2000943.2508772032, 1410111.3043749998, 1683052.339931807, 0.30144284425298706, 0.37165343871345247, 0.31333241558422387, -0.8289147721658391, -0.002742780273499529]),
+    "eo_config clean": (functools.partial(fair_robust_run, benchmarks.eo_config, 0.0), [631170.3932410895, 1194.912771001684, 57320.6321797875, 631195.9992190085, 57320.6321797875, 2000845.9890361673, 1724011.1381249998, 1132727.8102680754, 0.38939884354652765, 0.935761223205591, 0.604828087508199, -0.536288290664333, -0.11055641016360847]),
+    "poisoned_config 10%": (functools.partial(fair_robust_run, benchmarks.poisoned_config, 0.1), [1227677.7945200186, 4063.9132434817043, 122072.48439883765, 1227788.4161574668, 122072.48439883765, 2000728.8386533856, 1403595.0575, 1697621.1730564097, 0.3041869466952478, 0.35095079658738454, 0.5678627963202797, -0.5472077272257471, -0.235197432160317]),
     "baseline_config 10%": (functools.partial(
         logistic_run, lambda train: train_logistic_baseline(train, benchmarks.baseline_config(0)),
-        0.1), [1131009.0953294034, 0.0, 0.0, math.nan, math.nan, math.nan, 1434155.52875, 897697.7327632637, 0.2189483981519773, 0.1819385937297375, -0.3315306345286216, -0.1252170087158236, -0.24573447515509247]),
+        0.1), [1130320.1103197234, 0.0, 0.0, math.nan, math.nan, math.nan, 1434111.2718749999, 895272.9357812181, 0.2189483981519772, 0.18193859372973756, -0.14046930453377024, 0.0658443212790275, -0.43679580514994354]),
     "surrogate clean": (functools.partial(
         logistic_run, lambda train: poison.train_surrogate(train, benchmarks.derive_seed(0, 2)),
-        0.0), [94353.99785328319, 0.0, 0.0, math.nan, math.nan, math.nan, 279274.83749999997, 135895.45298225863, 0.37710065584136754, 0.9117607968564729, 0.121530237341195, 0.30591733473536453, -0.25584614511143494]),
+        0.0), [94426.54338681372, 0.0, 0.0, math.nan, math.nan, math.nan, 279296.405625, 135898.26960231128, 0.37710064126559706, 0.9117625106607704, 0.43670611575661716, 0.6210933112564025, -0.571022089822445]),
 }
 
 
