@@ -52,6 +52,6 @@ from .trainer import (
     train_fair_robust,
     train_logistic_baseline,
 )
-from .harness import ExperimentSpec, emit_tradeoff_curve, error_range, run_experiment
+from .harness import ExperimentSpec, error_range, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]

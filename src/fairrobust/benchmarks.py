@@ -8,7 +8,6 @@ the tuned training configurations for the clean and poisoned settings.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import replace
 
 from .dataset import Dataset, SyntheticSpec, derive_seed, generate_synthetic, split
@@ -21,15 +20,6 @@ POISON_GROUP = 1
 
 # Seed families used by scripts and the acceptance suite.
 BENCHMARK_SEEDS = tuple(range(10))
-
-
-def seed_count(text: str) -> int:
-    """Argument type of the scripts' ``--seeds n``: the first n of ``BENCHMARK_SEEDS``."""
-    n = int(text)
-    if not 1 <= n <= len(BENCHMARK_SEEDS):
-        raise argparse.ArgumentTypeError(
-            f"{n} is not between 1 and {len(BENCHMARK_SEEDS)}, the number of benchmark seeds")
-    return n
 
 
 def benchmark_datasets(seed: int, poison_fraction: float = 0.0

@@ -43,7 +43,10 @@ def _read_config(cls, args: argparse.Namespace, what: str, **defaults):
     values = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from None
     if isinstance(values, dict):
         flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
         values = {**defaults, **values, **{k: v for k, v in flags.items() if v is not None}}
@@ -93,7 +96,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_metrics(args) -> int:
     ds = load_csv(args.data)
-    model = load_model(args.model)
+    try:
+        model = load_model(args.model)
+    except ValueError as exc:  # a JSON or model-spec error in the file
+        raise DataError(f"{args.model} is not a model file: {exc}") from None
     report = evaluate_model(model, ds)
     payload = json.dumps(report.to_json_dict(), indent=2)
     if args.out:

@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from itertools import repeat
@@ -61,6 +60,11 @@ class ExperimentSpec:
             raise ConfigError("grid must be nonempty")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
+        for name, values in (("seeds", self.seeds), ("grid", self.grid)):
+            if len(set(values)) < len(values):  # each run once, and one aggregate row per point
+                raise ConfigError(f"{name} must not repeat a value, not {values}")
+        if self.sweep_axis == "none" and len(self.grid) > 1:
+            raise ConfigError(f'sweep_axis "none" takes one grid value, not {self.grid}')
         if self.poison_strategy not in POISON_STRATEGIES:
             raise ConfigError(f"poison_strategy must be one of {POISON_STRATEGIES}")
         fractions = [(f"split_fractions[{i}]", f) for i, f in enumerate(self.split_fractions)]
@@ -77,6 +81,10 @@ class ExperimentSpec:
             raise ConfigError("a synthetic spec generates every split; drop val_csv and test_csv")
         if self.val_csv is not None and self.sweep_axis == "val_fraction":
             raise ConfigError("a val_fraction sweep splits validation off train_csv; drop val_csv")
+        # Only a synthetic spec off the val_fraction axis splits by all three as given.
+        if (has_synth and self.sweep_axis != "val_fraction"
+                and abs(sum(self.split_fractions) - 1.0) > 1e-9):
+            raise ConfigError(f"split_fractions must sum to 1, not {list(self.split_fractions)}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -180,19 +188,19 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1
                    ) -> tuple[list[dict], list[dict]]:
     """All grid points x seeds; returns (run rows, aggregate rows) sorted.
 
-    A poisoning surrogate model that two or more runs share is trained once,
-    before the runs; a run that shares its surrogate with no other trains it
-    itself; ``jobs > 1`` maps both over a process pool. When ``out_dir`` is
-    given, writes runs.csv, aggregates.csv, and (for a lambda1 sweep)
-    tradeoff.csv there.
+    Each distinct poisoning surrogate model is trained once, before the runs;
+    ``jobs > 1`` maps both over a process pool. When ``out_dir`` is given,
+    writes runs.csv, aggregates.csv, and (for a lambda1 sweep) tradeoff.csv
+    there: (lambda1, accuracy, disparate impact) means of each grid point with
+    a successful run, sorted by lambda1.
     """
     tasks = [(grid_value, seed) for grid_value in spec.grid for seed in spec.seeds]
     keys = [_surrogate_key(spec, g, s) for g, s in tasks]
-    shared = [k for k, n in Counter(keys).items() if k is not None and n > 1]
+    distinct = [k for k in dict.fromkeys(keys) if k is not None]
     grid_values, seeds = zip(*tasks)
     with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        models = dict(zip(shared, mapper(_surrogate, repeat(spec), shared)))
+        models = dict(zip(distinct, mapper(_surrogate, repeat(spec), distinct)))
         # run_single is read from the module at call time, so perfbench's tracer sees every run.
         rows = list(mapper(run_single, repeat(spec), grid_values, seeds, map(models.get, keys)))
     rows.sort(key=lambda r: (r["grid_value"], r["seed"]))
@@ -216,7 +224,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1
             _write_csv(os.path.join(out_dir, "aggregates.csv"),
                        list(aggregates[0].keys()), aggregates)
         if spec.sweep_axis == "lambda1":
-            emit_tradeoff_curve(rows, path=os.path.join(out_dir, "tradeoff.csv"))
+            columns = ["lambda1", "accuracy", "disparate_impact"]
+            curve = sorted((float(a["grid_value"]), a["acc_mean"], a["di_mean"])
+                           for a in aggregates if a["n_ok"] > 0)
+            _write_csv(os.path.join(out_dir, "tradeoff.csv"), columns,
+                       [dict(zip(columns, point)) for point in curve])
     return rows, aggregates
 
 
@@ -254,23 +266,3 @@ def error_range(values) -> ErrorRange:
     std = float(np.std(values, ddof=1))
     return ErrorRange(mean, std, f"{mean:.3f} ± {std / 2:.3f}")
 
-
-def emit_tradeoff_curve(rows, path=None) -> list[tuple[float, float, float]]:
-    """(lambda1, mean accuracy, mean DI) per lambda1 value, sorted by lambda1."""
-    buckets: dict[float, list[tuple[float, float]]] = {}
-    for r in rows:
-        if r.get("status", "ok") != "ok" or r.get("acc", "") == "":
-            continue
-        buckets.setdefault(float(r["lambda1"]), []).append(
-            (float(r["acc"]), float(r["di"]))
-        )
-    curve = [
-        (lam, float(np.mean([a for a, _ in pts])), float(np.mean([d for _, d in pts])))
-        for lam, pts in sorted(buckets.items())
-    ]
-    if path is not None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda1", "accuracy", "disparate_impact"])
-            writer.writerows(curve)
-    return curve

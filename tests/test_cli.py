@@ -11,6 +11,7 @@ import pytest
 from fairrobust.cli import build_parser, main
 from fairrobust.dataset import SyntheticSpec, load_csv
 from fairrobust.harness import ExperimentSpec
+from fairrobust.nnet import MLPSpec, init_model, save_model
 from fairrobust.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,11 +103,19 @@ def test_sweep_command(tmp_path, capsys):
      "split_fractions[0] must lie in [0, 1], not 1.5"),
     ({"seeds": [0], "synthetic": {}, "poison_fraction": math.inf},
      "poison_fraction must lie in [0, 1], not inf"),
+    ({"seeds": [3, 3], "synthetic": {}}, "seeds must not repeat a value, not [3, 3]"),
+    ({"seeds": [0, 1], "synthetic": {}, "sweep_axis": "lambda1", "grid": [0.1, 0.1]},
+     "grid must not repeat a value, not [0.1, 0.1]"),
+    ({"seeds": [0], "synthetic": {}, "grid": [0.0, 0.5]},
+     'sweep_axis "none" takes one grid value, not [0.0, 0.5]'),
+    ({"seeds": [0], "synthetic": {}, "split_fractions": [0.5, 0.2, 0.2]},
+     "split_fractions must sum to 1, not [0.5, 0.2, 0.2]"),
 ], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
         "int_split_fractions", "short_split_fractions", "string_epochs", "string_n",
         "list_spec", "negative_n", "indefinite_cov_neg", "string_cov_neg", "long_mean_neg",
         "string_mean_neg", "unknown_poison_strategy", "nan_split_fraction",
-        "split_fraction_above_1", "infinite_poison_fraction"])
+        "split_fraction_above_1", "infinite_poison_fraction", "repeated_seeds",
+        "repeated_grid_values", "grid_without_axis", "split_fractions_off_1"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
@@ -129,12 +138,13 @@ UNKNOWN_KEY_CONFIGS = {
 
 
 def _run_with_config(tmp_path, capsys, command, values, flags=()):
-    """Runs ``command`` with ``values`` as its --config file (and ``flags``);
-    returns the exit code, the captured output and the path it writes to."""
+    """Runs ``command`` with ``values`` as its --config file (a str is the
+    file's text) and ``flags``; returns the exit code, the captured output and
+    the path it writes to."""
     data = tmp_path / "data.csv"
     main(["gen-synth", "--n", "60", "--seed", "1", "--out", str(data)])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values))
+    cfg.write_text(values if isinstance(values, str) else json.dumps(values))
     out = tmp_path / "out"
     argv = {"gen-synth": ["--out", str(out)],
             "poison": ["--data", str(data), "--out", str(out)],
@@ -197,6 +207,34 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, values, flags, 
     assert rc == 2
     assert captured.err.startswith(f"fairrobust {command}: error: {message}")
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(UNKNOWN_KEY_CONFIGS))
+def test_config_that_is_not_json_exits_2(tmp_path, capsys, command):
+    rc, captured, out = _run_with_config(tmp_path, capsys, command, '{"seeds": [0,')
+    assert rc == 2
+    assert captured.err == (f"fairrobust {command}: error: {tmp_path / 'cfg.json'} is not "
+                            "valid JSON: Expecting value: line 1 column 14 (char 13)\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[: len(text) // 2], "Expecting ',' delimiter: "),
+    (lambda text: text.replace('"output_dim": 1', '"output_dim": 1, "depth": 2'),
+     "unknown model spec key 'depth' = 2\n"),
+], ids=["truncated", "unknown_spec_key"])
+def test_unreadable_model_file_exits_2(tmp_path, capsys, edit, message):
+    data = tmp_path / "data.csv"
+    main(["gen-synth", "--n", "50", "--out", str(data)])
+    model = tmp_path / "model.json"
+    save_model(init_model(MLPSpec(input_dim=2, hidden_dim=4, output_dim=1), 0), model)
+    model.write_text(edit(model.read_text()))
+    capsys.readouterr()
+    assert main(["metrics", "--data", str(data), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"fairrobust metrics: error: {model} is not a model file: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_malformed_csv_exits_2(tmp_path, capsys):
@@ -279,26 +317,30 @@ def test_verify_mi_rejects_fewer_than_one_trial(capsys, trials):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
-                         ids=lambda path: path.name)
-def test_script_help_runs(script):
+TABLES = ["benchmark", "ablations", "poison-sweep", "valsize", "eo"]
+TABLE_SCRIPT = ROOT / "scripts" / "run_tables.py"
+
+
+@pytest.mark.parametrize("argv", [[script.name] for script in sorted(ROOT.glob("scripts/*.py"))]
+                         + [["run_tables.py", table] for table in TABLES],
+                         ids="-".join)
+def test_script_help_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(script), "--help"], env=env,
-                            capture_output=True, text=True)
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:],
+                             "--help"], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("run_*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("table", TABLES)
 @pytest.mark.parametrize("seeds", ["0", "11"])
-def test_script_rejects_seed_count_outside_benchmark_seeds(script, seeds):
-    # run_checked is replaced before the script imports it, so a script that
+def test_script_rejects_seed_count_outside_benchmark_seeds(table, seeds):
+    # run_checked is replaced before the script runs, so a table that
     # accepts the value stops with "training started" instead of training.
     code = ("import runpy, sys\n"
             "import fairrobust.harness as harness\n"
             "harness.run_checked = lambda spec: sys.exit('training started')\n"
-            f"sys.argv = [{str(script)!r}, '--seeds', {seeds!r}]\n"
-            f"runpy.run_path({str(script)!r}, run_name='__main__')\n")
+            f"sys.argv = [{str(TABLE_SCRIPT)!r}, {table!r}, '--seeds', {seeds!r}]\n"
+            f"runpy.run_path({str(TABLE_SCRIPT)!r}, run_name='__main__')\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 2, result.stderr

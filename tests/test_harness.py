@@ -10,7 +10,6 @@ from fairrobust import benchmarks as B
 from fairrobust.dataset import SyntheticSpec, save_csv
 from fairrobust.harness import (
     ExperimentSpec,
-    emit_tradeoff_curve,
     error_range,
     run_experiment,
     run_single,
@@ -107,20 +106,23 @@ def test_failed_runs_recorded_not_raised():
     assert agg[0.9]["n_ok"] == 0 and agg[0.9]["acc_mean"] == ""
 
 
-def test_emit_tradeoff_curve_single_point():
-    rows = [{"lambda1": 0.3, "acc": 0.8, "di": 0.6, "status": "ok"}]
-    assert emit_tradeoff_curve(rows) == [(0.3, 0.8, 0.6)]
+def test_emit_tradeoff_curve_single_point(tmp_path):
+    # a one-point lambda1 sweep writes its one aggregate row as the curve
+    _, aggregates = run_experiment(tiny_spec(grid=[0.3]), out_dir=tmp_path)
+    (agg,) = aggregates
+    with open(tmp_path / "tradeoff.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["lambda1", "accuracy", "disparate_impact"],
+                                        ["0.3", str(agg["acc_mean"]), str(agg["di_mean"])]]
 
 
-def test_emit_tradeoff_curve_sorted():
-    rows = [
-        {"lambda1": 0.6, "acc": 0.7, "di": 0.9, "status": "ok"},
-        {"lambda1": 0.1, "acc": 0.9, "di": 0.4, "status": "ok"},
-        {"lambda1": 0.6, "acc": 0.8, "di": 0.8, "status": "ok"},
-    ]
-    curve = emit_tradeoff_curve(rows)
-    assert [lam for lam, _, _ in curve] == [0.1, 0.6]
-    assert curve[1][1] == pytest.approx(0.75)
+def test_emit_tradeoff_curve_sorted(tmp_path):
+    # lambda1 0.95 + lambda2 0.1 >= 1 fails every run of that point; 0 is an int.
+    _, aggregates = run_experiment(tiny_spec(grid=[0.4, 0.95, 0]), out_dir=tmp_path)
+    assert [a["n_ok"] for a in aggregates] == [2, 0, 2]
+    ok = sorted((a for a in aggregates if a["n_ok"] > 0), key=lambda a: a["grid_value"])
+    with open(tmp_path / "tradeoff.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["lambda1", "accuracy", "disparate_impact"]] + [
+            [str(float(a["grid_value"])), str(a["acc_mean"]), str(a["di_mean"])] for a in ok]
 
 
 def test_spec_json_round_trip():
