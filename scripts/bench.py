@@ -19,8 +19,13 @@ alternation; write ``--out`` outside the checkout's tracked files.
 ``PARENT.json`` by seed and prints, per workload and end-to-end metric, the
 ratio of the medians (``--out`` over parent), the parent's interquartile range
 as a share of its median, the gap between the medians in units of that range
-(positive when ``--out`` is better) and the number of pairs that ``--out``
-won. Without ``--seeds`` nothing is run, and only the comparison is printed.
+(positive when ``--out`` is better), the number of pairs that ``--out``
+won, and a verdict against the metric's ``bound`` in BENCHMARK.json: "worse
+than its N% bound" when the median is worse by more than the bound,
+"unresolved" when the parent's interquartile range is wider than the bound
+and not every run of ``--out`` beats every parent run, and "within its bound"
+otherwise. Without ``--seeds`` nothing is run, and only the comparison is
+printed.
 """
 
 import argparse
@@ -53,9 +58,11 @@ def summarize(runs) -> dict:
     return out
 
 
-def compare(change: dict, parent: dict, better: dict[str, str]) -> list[str]:
-    """One line per workload and metric of both reports: the median ratio, the
-    parent's interquartile range, the median gap in its units and the pairs won."""
+def compare(change: dict, parent: dict, end_to_end: list[dict]) -> list[str]:
+    """One line per workload and end-to-end metric of both reports: the median
+    ratio, the parent's interquartile range, the median gap in its units, the
+    pairs won and the verdict against the metric's bound. ``end_to_end`` holds
+    BENCHMARK.json's metric entries, each with ``name``, ``better`` and ``bound``."""
     lines = []
     for name, entry in change["workloads"].items():
         base = parent["workloads"].get(name)
@@ -63,21 +70,30 @@ def compare(change: dict, parent: dict, better: dict[str, str]) -> list[str]:
             continue
         ours = {r["seed"]: r["result"]["metrics"] for r in entry["runs"] if "result" in r}
         theirs = {r["seed"]: r["result"]["metrics"] for r in base["runs"] if "result" in r}
-        for metric, sense in better.items():
+        for m in end_to_end:
+            metric, bound = m["name"], m["bound"]
             pairs = [(ours[s][metric]["value"], theirs[s][metric]["value"])
                      for s in sorted(ours.keys() & theirs.keys())]
             if not pairs or metric not in base["summary"] or metric not in entry["summary"]:
                 continue
-            sign = 1.0 if sense == "higher" else -1.0
+            sign = 1.0 if m["better"] == "higher" else -1.0
             won = sum(sign * (a - b) > 0 for a, b in pairs)
             p, c = base["summary"][metric], entry["summary"][metric]
             iqr = p["q3"] - p["q1"]
             gap = sign * (c["median"] - p["median"])
+            beats_all = (min(sign * r[metric]["value"] for r in ours.values())
+                         > max(sign * r[metric]["value"] for r in theirs.values()))
+            if gap < -bound * p["median"]:
+                verdict = f"worse than its {bound:.0%} bound"
+            elif iqr > bound * p["median"] and not beats_all:
+                verdict = "unresolved"
+            else:
+                verdict = "within its bound"
             lines.append(f"{name} {metric}: {p['median']:.4g} -> {c['median']:.4g} "
                          f"({c['median'] / p['median']:.3f}x), parent IQR "
                          f"{iqr / p['median']:.1%} of its median, gap "
                          + (f"{gap / iqr:+.2f} IQR" if iqr else "n/a")
-                         + f", won {won} of {len(pairs)} pairs")
+                         + f", won {won} of {len(pairs)} pairs: {verdict}")
     return lines
 
 
@@ -133,8 +149,7 @@ def main() -> int:
             change = json.load(fh)
         with open(args.compare, encoding="utf-8") as fh:
             parent = json.load(fh)
-        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-        print("\n".join(compare(change, parent, better)))
+        print("\n".join(compare(change, parent, benchmark["end_to_end"])))
     return 0
 
 

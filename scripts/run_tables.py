@@ -111,6 +111,9 @@ def main():
     p.add_argument("--lambda2", type=float, nargs="+", default=[0.4, 0.1])
     table("eo", eo)
     args = parser.parse_args()
+    if args.table == "benchmark" and args.seeds < 2:  # its +/- column is a spread over seeds
+        tables.choices["benchmark"].error(
+            f"argument --seeds: {args.seeds} is fewer than the 2 seeds that the +/- column needs")
     args.func(args)
 
 

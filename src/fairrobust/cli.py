@@ -30,9 +30,10 @@ from .dataset import (
     save_csv,
 )
 from .harness import ExperimentSpec, run_experiment
-from .nnet import load_model, save_model
+from .metrics import UndefinedGroupError
 from .poison import POISON_STRATEGIES, PoisonSpec, flip_labels
-from .trainer import ConfigError, TrainConfig, evaluate_model, from_json, train_fair_robust
+from .trainer import (ConfigError, TrainConfig, evaluate_model, from_json, load_model,
+                      save_model, train_fair_robust)
 
 
 def _read_config(cls, args: argparse.Namespace, what: str, **defaults):
@@ -79,8 +80,7 @@ def _cmd_train(args) -> int:
     if args.history_out:
         history.to_csv(args.history_out)
     if args.test:
-        report = evaluate_model(model, load_csv(args.test))
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_report(model, args.test))
     return 0
 
 
@@ -94,14 +94,21 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
+def _report(model, path) -> str:
+    """``model``'s JSON metrics report on the CSV at ``path``, which must hold every group."""
+    try:
+        report = evaluate_model(model, load_csv(path))
+    except UndefinedGroupError as exc:
+        raise DataError(f"{path} cannot be scored: {exc}") from None
+    return json.dumps(report.to_json_dict(), indent=2)
+
+
 def _cmd_metrics(args) -> int:
-    ds = load_csv(args.data)
     try:
         model = load_model(args.model)
-    except ValueError as exc:  # a JSON or model-spec error in the file
+    except ValueError as exc:  # JSON, a ConfigError, or parameters that do not fit
         raise DataError(f"{args.model} is not a model file: {exc}") from None
-    report = evaluate_model(model, ds)
-    payload = json.dumps(report.to_json_dict(), indent=2)
+    payload = _report(model, args.data)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

@@ -25,9 +25,10 @@ and then dLoss/dPre-activation in place in the second.
 
 Parameters: a model keeps all its parameters in one float64 vector,
 ``MLPModel.params``, in ``weights + biases`` order, and ``weights`` and
-``biases`` are views into it. Every constructor builds them so: ``init_model``,
-``load_model`` and ``MLPModel(spec, weights, biases)``, which copies the arrays
-it is given. An optimizer step is one update of the whole vector, and Adam's
+``biases`` are views into it. ``MLPModel(spec, weights, biases)`` builds them
+so, from copies of the arrays it is given, and raises ``ValueError`` when a
+shape does not fit ``spec``; ``init_model``, pickle and ``copy`` go through
+it. An optimizer step is one update of the whole vector, and Adam's
 moments are one vector each. So a parameter is changed in place
 (``model.weights[0][...] = w``), never rebound: a rebound list entry is no
 longer part of the model the optimizers step.
@@ -35,9 +36,8 @@ longer part of the model the optimizers step.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,12 +69,16 @@ class MLPModel:
 
     def __post_init__(self):
         arrays = [np.asarray(p, dtype=np.float64) for p in self.weights + self.biases]
+        layers, n = _layers(self.spec), len(self.weights)
+        shapes = ([w.shape for w in arrays[:n]], [b.shape for b in arrays[n:]])
+        if shapes != (layers, [(fan_out,) for _, fan_out in layers]):
+            raise ValueError(f"weight and bias shapes {shapes} do not fit {self.spec}")
         self.params = np.concatenate([p.ravel() for p in arrays])
         views, offset = [], 0
         for p in arrays:
             views.append(self.params[offset:offset + p.size].reshape(p.shape))
             offset += p.size
-        self.weights, self.biases = views[:len(self.weights)], views[len(self.weights):]
+        self.weights, self.biases = views[:n], views[n:]
 
     def __reduce__(self):
         # Pickled and copied through the constructor, so a copy's weights and
@@ -82,16 +86,17 @@ class MLPModel:
         return MLPModel, (self.spec, self.weights, self.biases)
 
 
+def _layers(spec: MLPSpec) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each layer: one, or two with a hidden layer."""
+    dims = [d for d in (spec.input_dim, spec.hidden_dim, spec.output_dim) if d]
+    return list(zip(dims[:-1], dims[1:]))
+
+
 def init_model(spec: MLPSpec, seed: int) -> MLPModel:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
     rng = np.random.default_rng(seed)
-    dims = (
-        [spec.input_dim, spec.output_dim]
-        if spec.hidden_dim == 0
-        else [spec.input_dim, spec.hidden_dim, spec.output_dim]
-    )
     weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for fan_in, fan_out in _layers(spec):
         a = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
@@ -315,48 +320,3 @@ def adam_step(model: MLPModel, grads: Gradients, state: OptimizerState) -> None:
     denom += ADAM_EPS
     step /= denom
     model.params -= step
-
-
-def save_model(model: MLPModel, path) -> None:
-    payload = {
-        "spec": asdict(model.spec),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_model(path) -> MLPModel:
-    """The model that ``save_model`` wrote to ``path``.
-
-    Files written while the activations were spec fields also carry
-    ``hidden_activation`` and ``output_activation``; they load when these name
-    what the widths now imply, and any other value or spec key is rejected.
-    """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    dims = dict(payload["spec"])
-    old = {key: dims.pop(key) for key in ("hidden_activation", "output_activation") if key in dims}
-    unknown = sorted(set(dims) - {"input_dim", "hidden_dim", "output_dim"})
-    if unknown:
-        raise ValueError(f"unknown model spec key {unknown[0]!r} = {dims[unknown[0]]!r}")
-    spec = MLPSpec(**dims)
-    implied = {"hidden_activation": "relu",
-               "output_activation": "sigmoid" if spec.output_dim == 1 else "softmax"}
-    for key, value in old.items():
-        if value != implied[key]:
-            raise ValueError(f"{key} {value!r} is not supported for output_dim "
-                             f"{spec.output_dim}: expected {implied[key]!r}")
-    model = MLPModel(
-        spec,
-        [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-    )
-    expected = init_model(spec, 0)
-    for got, want in zip(model.weights + model.biases, expected.weights + expected.biases):
-        if got.shape != want.shape:
-            raise ValueError("parameter shapes inconsistent with spec")
-        if not np.isfinite(got).all():
-            raise ValueError("non-finite parameters")
-    return model

@@ -16,7 +16,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -111,33 +111,38 @@ def from_json(cls, values, what: str = "a config"):
     """Build the dataclass ``cls`` from JSON ``values``, typed by its fields.
 
     ``ConfigError`` first names every key that no field reads, then those of
-    each nested object (as ``base.epochs``). It then names the first value, in
-    field order, whose JSON type does not fit its type: true or false for
-    ``bool``, an integer but not a bool for ``int``, a number for ``float``, a
-    string for ``str``, also null for ``X | None``, an object for a dataclass,
-    which is read the same way, a list for ``list[X]``, whose items are each
-    checked as an ``X``, and a list of exactly n items for ``tuple[X1, ...,
-    Xn]``, whose items are each checked against their own type. Items are named
-    by index (``seeds[1]``, ``cov_neg[0][1]``). Tuples are rebuilt from their
-    lists; every other value passes unchanged, so an integer for a ``float``
-    field stays an integer. ``what`` names ``values`` when it is not an object.
+    each nested object (as ``base.epochs``), and next every field without a
+    default that has no key. It then names the first value, in field order,
+    whose JSON type does not fit its type: true or false for ``bool``, an
+    integer but not a bool for ``int``, a number for ``float``, a string for
+    ``str``, also null for ``X | None``, an object for a dataclass, which is
+    read the same way, a list for ``list[X]``, whose items are each checked as
+    an ``X``, and a list of exactly n items for ``tuple[X1, ..., Xn]``, whose
+    items are each checked against their own type. Items are named by index
+    (``seeds[1]``, ``cov_neg[0][1]``). Tuples are rebuilt from their lists;
+    every other value passes unchanged, so an integer for a ``float`` field
+    stays an integer. ``what`` names ``values`` when it is not an object.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a JSON object, not {type(values).__name__}")
-    unknown = _unknown_keys(cls, values, "")
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for problem, keys in zip(("unknown", "missing"), _key_errors(cls, values, "")):
+        if keys:
+            raise ConfigError(f"{problem} config keys: {', '.join(keys)}")
     return _from_json_object(cls, values, "")
 
 
-def _unknown_keys(cls, values: dict, prefix: str) -> list[str]:
+def _key_errors(cls, values: dict, prefix: str) -> tuple[list[str], list[str]]:
+    """(unknown keys, missing fields) of ``values`` and of its nested objects."""
     hints = get_type_hints(cls)
     unknown = [prefix + key for key in values if key not in hints]
+    missing = [prefix + f.name for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
     for name, hint in hints.items():
         hint, _ = _nullable(hint)
         if is_dataclass(hint) and isinstance(values.get(name), dict):
-            unknown += _unknown_keys(hint, values[name], f"{prefix}{name}.")
-    return unknown
+            nested = _key_errors(hint, values[name], f"{prefix}{name}.")
+            unknown, missing = unknown + nested[0], missing + nested[1]
+    return unknown, missing
 
 
 def _from_json_object(cls, values: dict, prefix: str):
@@ -181,6 +186,32 @@ def _nullable(hint):
         return hint, False
     (inner,) = [arg for arg in args if arg is not type(None)]
     return inner, True
+
+
+@dataclass
+class _ModelFile:
+    """The keys of a model file: a network's widths and its parameters."""
+
+    spec: MLPSpec
+    weights: list[list[list[float]]]
+    biases: list[list[float]]
+
+
+def save_model(model: MLPModel, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(asdict(_ModelFile(model.spec, [w.tolist() for w in model.weights],
+                                    [b.tolist() for b in model.biases])), fh)
+
+
+def load_model(path) -> MLPModel:
+    """The model that ``save_model`` wrote to ``path``; ``ValueError`` for any
+    other file, also for the ``Infinity`` and ``NaN`` that ``json`` parses."""
+    with open(path, encoding="utf-8") as fh:
+        payload = from_json(_ModelFile, json.load(fh), "a model file")
+    model = MLPModel(payload.spec, payload.weights, payload.biases)
+    if not np.isfinite(model.params).all():
+        raise ValueError("non-finite parameters")
+    return model
 
 
 @dataclass

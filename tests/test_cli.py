@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -11,8 +12,8 @@ import pytest
 from fairrobust.cli import build_parser, main
 from fairrobust.dataset import SyntheticSpec, load_csv
 from fairrobust.harness import ExperimentSpec
-from fairrobust.nnet import MLPSpec, init_model, save_model
-from fairrobust.trainer import TrainConfig
+from fairrobust.nnet import MLPSpec, init_model
+from fairrobust.trainer import TrainConfig, save_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,12 +111,13 @@ def test_sweep_command(tmp_path, capsys):
      'sweep_axis "none" takes one grid value, not [0.0, 0.5]'),
     ({"seeds": [0], "synthetic": {}, "split_fractions": [0.5, 0.2, 0.2]},
      "split_fractions must sum to 1, not [0.5, 0.2, 0.2]"),
+    ({"synthetic": {}}, "missing config keys: seeds"),
 ], ids=["null_base", "list_synthetic", "no_seeds", "int_seeds", "string_seed",
         "int_split_fractions", "short_split_fractions", "string_epochs", "string_n",
         "list_spec", "negative_n", "indefinite_cov_neg", "string_cov_neg", "long_mean_neg",
         "string_mean_neg", "unknown_poison_strategy", "nan_split_fraction",
         "split_fraction_above_1", "infinite_poison_fraction", "repeated_seeds",
-        "repeated_grid_values", "grid_without_axis", "split_fractions_off_1"])
+        "repeated_grid_values", "grid_without_axis", "split_fractions_off_1", "missing_seeds"])
 def test_malformed_sweep_spec_exits_2(tmp_path, capsys, values, message):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
@@ -218,11 +220,31 @@ def test_config_that_is_not_json_exits_2(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+def _with(text, **changes):
+    """The model file ``text`` with ``changes`` made to its top-level keys."""
+    return json.dumps({**json.loads(text), **changes})
+
+
+SPEC_4_HIDDEN = "MLPSpec(input_dim=2, hidden_dim=4, output_dim=1)"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text[: len(text) // 2], "Expecting ',' delimiter: "),
     (lambda text: text.replace('"output_dim": 1', '"output_dim": 1, "depth": 2'),
-     "unknown model spec key 'depth' = 2\n"),
-], ids=["truncated", "unknown_spec_key"])
+     "unknown config keys: spec.depth\n"),
+    (lambda text: "{}", "missing config keys: spec, weights, biases\n"),
+    (lambda text: "[1]", "a model file must be a JSON object, not list\n"),
+    (lambda text: _with(text, spec=[1]), "spec must be a JSON object, not [1]\n"),
+    (lambda text: _with(text, spec={"input_dim": "3", "hidden_dim": 4}),
+     'spec.input_dim must be an integer, not "3"\n'),
+    (lambda text: _with(text, weights=5), "weights must be a list, not 5\n"),
+    (lambda text: _with(text, biases=[[0.0] * 4, [0.0, 0.0]]),
+     f"weight and bias shapes ([(2, 4), (4, 1)], [(4,), (2,)]) do not fit {SPEC_4_HIDDEN}\n"),
+    (lambda text: _with(text, biases=[[0.0] * 4]),
+     f"weight and bias shapes ([(2, 4), (4, 1)], [(4,)]) do not fit {SPEC_4_HIDDEN}\n"),
+    (lambda text: _with(text, biases=[[0.0] * 4, [math.inf]]), "non-finite parameters\n"),
+], ids=["truncated", "unknown_spec_key", "empty_object", "list", "list_spec", "string_input_dim",
+        "int_weights", "wrong_bias_shape", "missing_bias", "infinite_bias"])
 def test_unreadable_model_file_exits_2(tmp_path, capsys, edit, message):
     data = tmp_path / "data.csv"
     main(["gen-synth", "--n", "50", "--out", str(data)])
@@ -235,6 +257,23 @@ def test_unreadable_model_file_exits_2(tmp_path, capsys, edit, message):
     assert captured.err.startswith(
         f"fairrobust metrics: error: {model} is not a model file: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["metrics", "train"])
+def test_dataset_without_a_group_exits_2(tmp_path, capsys, command):
+    data, one_group = tmp_path / "data.csv", tmp_path / "one_group.csv"
+    main(["gen-synth", "--n", "50", "--out", str(data)])
+    one_group.write_text("x0,x1,z,y\n" + "".join(f"{i},{-i},0,{i % 2}\n" for i in range(8)))
+    model = tmp_path / "model.json"
+    save_model(init_model(MLPSpec(input_dim=4), 0), model)
+    capsys.readouterr()
+    argv = {"metrics": ["--data", str(one_group), "--model", str(model)],
+            "train": ["--train", str(data), "--epochs", "2", "--test", str(one_group)]}[command]
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"fairrobust {command}: error: {one_group} cannot be scored: "
+                            "group 1 absent\n")
+    assert captured.out == ""
 
 
 def test_malformed_csv_exits_2(tmp_path, capsys):
@@ -331,9 +370,13 @@ def test_script_help_runs(argv):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("table", TABLES)
-@pytest.mark.parametrize("seeds", ["0", "11"])
-def test_script_rejects_seed_count_outside_benchmark_seeds(table, seeds):
+SEED_COUNT_CASES = ([(seeds, table, "between 1 and 10") for seeds in ["0", "11"] for table in TABLES]
+                    + [("1", "benchmark", "fewer than the 2 seeds that the +/- column needs")])
+
+
+@pytest.mark.parametrize("seeds, table, message", SEED_COUNT_CASES,
+                         ids=[f"{seeds}-{table}" for seeds, table, _ in SEED_COUNT_CASES])
+def test_script_rejects_seed_count_outside_benchmark_seeds(seeds, table, message):
     # run_checked is replaced before the script runs, so a table that
     # accepts the value stops with "training started" instead of training.
     code = ("import runpy, sys\n"
@@ -344,4 +387,28 @@ def test_script_rejects_seed_count_outside_benchmark_seeds(table, seeds):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 2, result.stderr
-    assert "between 1 and 10" in result.stderr
+    assert message in result.stderr
+
+
+def _bench_report(bench, values):
+    """A ``scripts/bench.py`` report of one workload whose runs, by seed, read ``values``."""
+    runs = [{"seed": seed, "result": {"metrics": {"m": {"value": v}}}}
+            for seed, v in enumerate(values)]
+    return {"workloads": {"w": {"runs": runs, "summary": bench.summarize(runs)}}}
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    ("higher", [100, 101, 102, 103, 104], [95, 96, 97, 98, 99], "within its bound"),
+    ("higher", [100, 101, 102, 103, 104], [60, 70, 70, 70, 80], "worse than its 25% bound"),
+    ("lower", [100, 101, 102, 103, 104], [120, 130, 130, 130, 140], "worse than its 25% bound"),
+    ("higher", [60, 80, 100, 120, 140], [70, 80, 90, 100, 110], "unresolved"),
+    ("higher", [60, 80, 100, 120, 140], [150, 160, 170, 180, 190], "within its bound"),
+], ids=["within", "worse", "worse_lower", "unresolved", "wide_but_every_run_better"])
+def test_bench_compare_states_each_metric_verdict_against_its_bound(better, parent, change,
+                                                                     verdict):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (line,) = bench.compare(_bench_report(bench, change), _bench_report(bench, parent),
+                            [{"name": "m", "better": better, "bound": 0.25}])
+    assert line.startswith("w m: ") and line.endswith(f" pairs: {verdict}")

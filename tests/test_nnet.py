@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -23,11 +24,9 @@ from fairrobust.nnet import (
     forward_with_cache,
     init_model,
     init_optimizer,
-    load_model,
-    save_model,
     sgd_step,
 )
-from fairrobust.trainer import predict
+from fairrobust.trainer import load_model, predict, save_model
 from gradcheck import (
     flatten_grads,
     get_flat_params,
@@ -469,45 +468,39 @@ def test_model_json_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
-def _old_format_payload(model, hidden_activation, output_activation, **extra):
-    """A model file as written while the activations were spec fields."""
-    spec = {"input_dim": model.spec.input_dim, "hidden_dim": model.spec.hidden_dim,
-            "output_dim": model.spec.output_dim, "hidden_activation": hidden_activation,
-            "output_activation": output_activation, **extra}
-    return {"spec": spec, "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases]}
-
-
-@pytest.mark.parametrize("spec, output_activation", [
-    (MLPSpec(input_dim=4), "sigmoid"),  # the generator
-    (MLPSpec(input_dim=1, output_dim=2), "softmax"),  # a 2-group fairness head
-    (MLPSpec(input_dim=5, hidden_dim=8), "sigmoid"),  # the robustness adversary
-])
-def test_old_model_files_load_to_the_same_model(tmp_path, spec, output_activation):
-    model = init_model(spec, seed=16)
-    for b in model.biases:
-        b[...] = np.random.default_rng(17).normal(size=b.shape)
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(_old_format_payload(model, "relu", output_activation)))
-    back = load_model(path)
-    assert back.spec == spec
-    x = np.random.default_rng(18).normal(size=(50, spec.input_dim))
-    assert np.array_equal(forward(back, x), forward(model, x))
-
-
-@pytest.mark.parametrize("output_dim, hidden, output, extra, message", [
-    (1, "tanh", "sigmoid", {}, "hidden_activation 'tanh'"),
-    (2, "relu", "sigmoid", {}, "output_activation 'sigmoid' is not supported for output_dim 2"),
-    (1, "relu", "softmax", {}, "output_activation 'softmax' is not supported for output_dim 1"),
-    (1, "relu", "sigmoid", {"dropout": 0.5}, "unknown model spec key 'dropout' = 0.5"),
-])
-def test_old_model_files_that_would_change_meaning_are_rejected(tmp_path, output_dim, hidden,
-                                                                 output, extra, message):
-    model = init_model(MLPSpec(input_dim=2, hidden_dim=3, output_dim=output_dim), seed=19)
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(_old_format_payload(model, hidden, output, **extra)))
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("output_dim, edit, key", [
+    (1, lambda payload: payload["spec"].update(hidden_activation="tanh"), "spec.hidden_activation"),
+    (1, lambda payload: payload["spec"].update(output_activation="softmax"),
+     "spec.output_activation"),
+    (2, lambda payload: payload["spec"].update(output_activation="sigmoid"),
+     "spec.output_activation"),
+    (1, lambda payload: payload["spec"].update(dropout=0.5), "spec.dropout"),
+    (1, lambda payload: payload.update(optimizer="adam"), "optimizer"),
+], ids=["hidden_activation", "output_activation", "output_activation_2_groups", "dropout",
+        "top_level"])
+def test_model_file_keys_that_save_model_never_writes_are_rejected(tmp_path, output_dim, edit,
+                                                                    key):
+    path = tmp_path / "model.json"
+    save_model(init_model(MLPSpec(input_dim=2, hidden_dim=3, output_dim=output_dim), seed=19),
+               path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^unknown config keys: {re.escape(key)}$"):
         load_model(path)
+
+
+@pytest.mark.parametrize("weights, biases", [
+    ([np.zeros((3, 4)), np.zeros((4, 1))], [np.zeros(4), np.zeros(1)]),  # the first fan_in
+    ([np.zeros((2, 4)), np.zeros((4, 1))], [np.zeros(4), np.zeros((1, 1))]),  # a 2-d bias
+    ([np.zeros((2, 4))], [np.zeros(4)]),  # no output layer
+    ([np.zeros((2, 4))], [np.zeros(4), np.zeros(1)]),  # an output bias without its weights
+], ids=["weight", "bias", "missing_layer", "missing_weight"])
+def test_model_rejects_parameter_shapes_that_do_not_fit_its_spec(weights, biases):
+    spec = MLPSpec(input_dim=2, hidden_dim=4, output_dim=1)
+    MLPModel(spec, [np.zeros((2, 4)), np.zeros((4, 1))], [np.zeros(4), np.zeros(1)])  # fits
+    with pytest.raises(ValueError, match=r"^weight and bias shapes .* do not fit MLPSpec"):
+        MLPModel(spec, weights, biases)
 
 
 # The three kinds of network that training steps: the generator, a 2-group
