@@ -8,50 +8,11 @@ training data), with the second adversary's decision values re-weighting the
 training examples.
 """
 
-from .dataset import (
-    CrowdResponse,
-    DataError,
-    Dataset,
-    SyntheticSpec,
-    aggregate_crowd_labels,
-    filter_workers,
-    generate_synthetic,
-    load_csv,
-    save_csv,
-    split,
-)
-from .metrics import (
-    MetricsReport,
-    UndefinedGroupError,
-    accuracy,
-    compute_report,
-    confusion_by_group,
-    disparate_impact,
-    empirical_entropy,
-    equalized_odds,
-)
-from .nnet import CrossEntropy, MLPModel, MLPSpec, OptimizerState, forward
-from .adversaries import (
-    DiscreteJoint,
-    fairness_objective,
-    mi_exact,
-    mi_via_discriminator,
-    robustness_objective,
-    robustness_rows,
-)
-from .poison import PoisonBudgetError, PoisonSpec, flip_labels
-from .trainer import (
-    ConfigError,
-    TrainConfig,
-    TrainHistory,
-    TrainingDivergedError,
-    compute_example_weights,
-    decide,
-    evaluate_model,
-    predict,
-    train_fair_robust,
-    train_logistic_baseline,
-)
-from .harness import ExperimentSpec, error_range, run_experiment
+# The submodules that perfbench's tracer reads off the package.
+from . import adversaries, benchmarks, dataset, harness, metrics, nnet, poison, trainer
+from .dataset import SyntheticSpec, generate_synthetic, split
+from .poison import PoisonSpec, flip_labels
+from .trainer import TrainConfig, evaluate_model, train_fair_robust
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["SyntheticSpec", "generate_synthetic", "split", "PoisonSpec", "flip_labels",
+           "TrainConfig", "train_fair_robust", "evaluate_model"]

@@ -5,8 +5,9 @@ verify-mi. gen-synth, poison, train and sweep accept ``--config FILE``, a JSON
 object that ``trainer.from_json`` reads into ``SyntheticSpec``, ``PoisonSpec``,
 ``TrainConfig`` or ``ExperimentSpec``; in the first three, a flag named after a
 field wins over the file value. A key that no field reads, a value of
-the wrong JSON type, any other ``ConfigError`` and bad data (``DataError``)
-exit with code 2 and the error on stderr.
+the wrong JSON type, any other ``ConfigError``, bad data (``DataError``) and
+a file that cannot be opened (``OSError``) exit with code 2 and the error on
+stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .dataset import (
 )
 from .harness import ExperimentSpec, run_experiment
 from .metrics import UndefinedGroupError
+from .nnet import MLPSpec, init_model
 from .poison import POISON_STRATEGIES, PoisonSpec, flip_labels
 from .trainer import (ConfigError, TrainConfig, evaluate_model, from_json, load_model,
                       save_model, train_fair_robust)
@@ -74,13 +76,17 @@ def _cmd_train(args) -> int:
     cfg = _read_config(TrainConfig, args, "a train config")
     train = load_csv(args.train)
     val = load_csv(args.val) if args.val else None
+    test = load_csv(args.test) if args.test else None
+    if test is not None:  # fail now, not after training: score it with an untrained model
+        _report(init_model(MLPSpec(input_dim=train.feature_dim + train.z_cardinality), 0),
+                test, args.test)
     model, history = train_fair_robust(train, val, cfg)
     if args.model_out:
         save_model(model, args.model_out)
     if args.history_out:
         history.to_csv(args.history_out)
-    if args.test:
-        print(_report(model, args.test))
+    if test is not None:
+        print(_report(model, test, args.test))
     return 0
 
 
@@ -94,11 +100,12 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _report(model, path) -> str:
-    """``model``'s JSON metrics report on the CSV at ``path``, which must hold every group."""
+def _report(model, data, path) -> str:
+    """``model``'s JSON metrics report on ``data``, read from ``path``, which must
+    hold every group and fit the model's input width."""
     try:
-        report = evaluate_model(model, load_csv(path))
-    except UndefinedGroupError as exc:
+        report = evaluate_model(model, data)
+    except (ConfigError, UndefinedGroupError) as exc:
         raise DataError(f"{path} cannot be scored: {exc}") from None
     return json.dumps(report.to_json_dict(), indent=2)
 
@@ -108,7 +115,7 @@ def _cmd_metrics(args) -> int:
         model = load_model(args.model)
     except ValueError as exc:  # JSON, a ConfigError, or parameters that do not fit
         raise DataError(f"{args.model} is not a model file: {exc}") from None
-    payload = _report(model, args.data)
+    payload = _report(model, load_csv(args.data), args.data)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -229,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"fairrobust {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

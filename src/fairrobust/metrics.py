@@ -1,4 +1,11 @@
-"""Accuracy, group-fairness metrics, per-group confusion matrices, and entropies."""
+"""Accuracy, group-fairness metrics, per-group confusion matrices, and entropies.
+
+Every per-group rate and count is read off a ``GroupPlan``: the rows' group
+codes are checked and ordered once by ``group_plan``, and each per-group sum is
+one ``np.add.reduceat`` over that order. The training probe builds its plan once
+per run; ``compute_report`` builds one per report and reads disparate impact,
+equalized odds and the confusion tables off it.
+"""
 
 from __future__ import annotations
 
@@ -54,25 +61,10 @@ def group_plan(z, z_cardinality=None) -> GroupPlan:
                      np.cumsum(sizes) - sizes, sizes)
 
 
-def positive_rates(predictions, z, z_cardinality=None) -> dict[int, float]:
-    """P(prediction = 1 | z = code) for each group code.
-
-    ``z`` holds the group codes, checked as ``group_plan`` checks them, or is a
-    ``GroupPlan`` built once for rows whose codes do not change. Each rate is a
-    group's count of positives over its size, which for 0/1 predictions is the
-    group's mean.
-    """
-    if isinstance(z, GroupPlan):
-        if z_cardinality is not None:
-            raise ValueError("a GroupPlan carries its own cardinality")
-        plan = z
-    else:
-        plan = group_plan(z, z_cardinality)
-    predictions = _as_int_array(predictions)
-    if len(predictions) != len(plan.order):
-        raise ValueError("predictions and z must have equal length")
-    positives = np.add.reduceat(predictions[plan.order], plan.starts)
-    return dict(zip(plan.codes, (positives / plan.sizes).tolist()))
+def _group_sums(plan: GroupPlan, values: np.ndarray) -> np.ndarray:
+    """Per group of ``plan``, in its code order, the sum of ``values`` over the
+    group's rows (along the first axis)."""
+    return np.add.reduceat(values[plan.order], plan.starts)
 
 
 def _rate_ratio(a: float, b: float) -> float:
@@ -85,40 +77,32 @@ def _rate_ratio(a: float, b: float) -> float:
     return min(a / b, b / a)
 
 
+def _min_ratio(rates: list[float]) -> float:
+    """The minimum ratio of positive rates over all pairs of groups."""
+    if len(rates) < 2:
+        raise UndefinedGroupError("disparate impact needs at least two groups")
+    return min(_rate_ratio(a, b) for i, a in enumerate(rates) for b in rates[i + 1:])
+
+
 def disparate_impact(predictions, z, z_cardinality=None) -> float:
     """Minimum pairwise ratio of groupwise positive-prediction rates; 1 is fair.
 
-    With more than two groups, the minimum runs over all pairs. ``z`` is as in
-    ``positive_rates``.
+    With more than two groups, the minimum runs over all pairs. ``z`` holds the
+    group codes, checked as ``group_plan`` checks them, or is a ``GroupPlan``
+    built once for rows whose codes do not change. Each rate is a group's
+    count of positives over its size, which for 0/1 predictions is the group's
+    mean.
     """
-    rates = list(positive_rates(predictions, z, z_cardinality).values())
-    if len(rates) < 2:
-        raise UndefinedGroupError("disparate impact needs at least two groups")
-    return min(
-        _rate_ratio(rates[i], rates[j])
-        for i in range(len(rates))
-        for j in range(i + 1, len(rates))
-    )
-
-
-def equalized_odds(predictions, z, labels, z_cardinality=None) -> dict[int, float]:
-    """Per label value, the min groupwise positive-rate ratio among predictions.
-
-    A stratum where some group is absent is undefined and omitted from the map.
-    """
+    if isinstance(z, GroupPlan):
+        if z_cardinality is not None:
+            raise ValueError("a GroupPlan carries its own cardinality")
+        plan = z
+    else:
+        plan = group_plan(z, z_cardinality)
     predictions = _as_int_array(predictions)
-    z = _as_int_array(z)
-    labels = _as_int_array(labels)
-    if not (len(predictions) == len(z) == len(labels)):
-        raise ValueError("inputs must have equal length")
-    out: dict[int, float] = {}
-    for y in sorted(np.unique(labels)):
-        mask = labels == y
-        try:
-            out[int(y)] = disparate_impact(predictions[mask], z[mask], z_cardinality)
-        except UndefinedGroupError:
-            continue
-    return out
+    if len(predictions) != len(plan.order):
+        raise ValueError("predictions and z must have equal length")
+    return _min_ratio((_group_sums(plan, predictions) / plan.sizes).tolist())
 
 
 def accuracy(predictions, labels) -> float:
@@ -131,26 +115,6 @@ def accuracy(predictions, labels) -> float:
     if len(labels) == 0:
         raise ValueError("empty input")
     return np.count_nonzero(predictions == labels) / len(labels)
-
-
-def confusion_by_group(predictions, labels, z) -> dict[int, np.ndarray]:
-    """Per-group 2x2 count matrices, rows = true label, columns = prediction, for
-    each nonnegative group code that occurs; predictions and labels are 0 or 1."""
-    predictions = _as_int_array(predictions)
-    labels = _as_int_array(labels)
-    z = _as_int_array(z)
-    if not (len(predictions) == len(labels) == len(z)):
-        raise ValueError("inputs must have equal length")
-    if len(z) == 0:
-        raise ValueError("empty input")
-    if z.min() < 0:
-        raise ValueError("group codes must be nonnegative")
-    for name, values in (("predictions", predictions), ("labels", labels)):
-        if ((values != 0) & (values != 1)).any():
-            raise ValueError(f"{name} must be 0 or 1")
-    table = np.bincount(4 * z + 2 * labels + predictions,
-                        minlength=4 * (z.max() + 1)).reshape(-1, 2, 2)
-    return {int(code): table[code] for code in np.flatnonzero(table.any(axis=(1, 2)))}
 
 
 def empirical_entropy(codes) -> float:
@@ -188,12 +152,37 @@ class MetricsReport:
 
 
 def compute_report(predictions, labels, z, z_cardinality=None) -> MetricsReport:
-    eo = equalized_odds(predictions, z, labels, z_cardinality)
+    """The report of 0/1 ``predictions`` against 0/1 ``labels`` over rows with
+    group codes ``z``, read off one ``GroupPlan``.
+
+    Equalized odds holds, per label, the disparate impact among that label's
+    rows; a label is left out when a reported group has none of its rows
+    (with ``z_cardinality`` unset, a label's groups are those that have its
+    rows) or when fewer than two groups do. ``group_confusion`` holds each
+    reported group's 2x2 counts, rows = true label, columns = prediction.
+    """
+    predictions = _as_int_array(predictions)
+    labels = _as_int_array(labels)
+    z = _as_int_array(z)
+    if not (len(predictions) == len(labels) == len(z)):
+        raise ValueError("inputs must have equal length")
+    for name, values in (("predictions", predictions), ("labels", labels)):
+        if ((values != 0) & (values != 1)).any():
+            raise ValueError(f"{name} must be 0 or 1")
+    plan = group_plan(z, z_cardinality)
+    cells = np.eye(4, dtype=np.int64)[2 * labels + predictions]
+    counts = _group_sums(plan, cells).reshape(-1, 2, 2)  # (group, label, prediction)
+    eo: dict[int, float] = {}
+    for y in (0, 1):
+        rows = counts[:, y].sum(axis=1)
+        present = rows > 0
+        if present.sum() >= 2 and (present.all() or not z_cardinality):
+            eo[y] = _min_ratio((counts[present, y, 1] / rows[present]).tolist())
     return MetricsReport(
         accuracy=accuracy(predictions, labels),
-        disparate_impact=disparate_impact(predictions, z, z_cardinality),
+        disparate_impact=disparate_impact(predictions, plan),
         equalized_odds=eo,
         equal_opportunity=eo.get(1),
-        group_confusion=confusion_by_group(predictions, labels, z),
+        group_confusion=dict(zip(plan.codes, counts)),
         entropy_z=empirical_entropy(z),
     )

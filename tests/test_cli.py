@@ -259,20 +259,69 @@ def test_unreadable_model_file_exits_2(tmp_path, capsys, edit, message):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["metrics", "train"])
-def test_dataset_without_a_group_exits_2(tmp_path, capsys, command):
-    data, one_group = tmp_path / "data.csv", tmp_path / "one_group.csv"
+SCORED_CSVS = {  # (a test CSV that cannot be scored, the reason given)
+    "one_group": ("x0,x1,z,y\n" + "".join(f"{i},{-i},0,{i % 2}\n" for i in range(8)),
+                  "group 1 absent"),
+    "empty": ("x0,x1,z,y\n", "empty input"),
+    "wrong_width": ("x0,z,y\n" + "".join(f"{i},{i % 2},{i % 2}\n" for i in range(8)),
+                    "model expects input dim 4; dataset provides 1 features and 2 sensitive codes"),
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    pytest.param(command, kind, id=command if kind == "one_group" else f"{command}-{kind}")
+    for kind in ("one_group", "empty") for command in ("metrics", "train")])
+def test_dataset_without_a_group_exits_2(tmp_path, capsys, command, kind):
+    data, bad = tmp_path / "data.csv", tmp_path / f"{kind}.csv"
     main(["gen-synth", "--n", "50", "--out", str(data)])
-    one_group.write_text("x0,x1,z,y\n" + "".join(f"{i},{-i},0,{i % 2}\n" for i in range(8)))
+    text, reason = SCORED_CSVS[kind]
+    bad.write_text(text)
     model = tmp_path / "model.json"
     save_model(init_model(MLPSpec(input_dim=4), 0), model)
     capsys.readouterr()
-    argv = {"metrics": ["--data", str(one_group), "--model", str(model)],
-            "train": ["--train", str(data), "--epochs", "2", "--test", str(one_group)]}[command]
+    argv = {"metrics": ["--data", str(bad), "--model", str(model)],
+            "train": ["--train", str(data), "--epochs", "2", "--test", str(bad)]}[command]
     assert main([command, *argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"fairrobust {command}: error: {one_group} cannot be scored: "
-                            "group 1 absent\n")
+    assert captured.err == f"fairrobust {command}: error: {bad} cannot be scored: {reason}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["missing", *SCORED_CSVS])
+def test_train_checks_its_test_csv_before_training(tmp_path, capsys, kind):
+    # A test CSV that cannot be read or scored stops ``train`` before it
+    # trains, so neither output file is written.
+    data, test = tmp_path / "data.csv", tmp_path / f"{kind}.csv"
+    main(["gen-synth", "--n", "50", "--out", str(data)])
+    if kind == "missing":
+        message = f"[Errno 2] No such file or directory: '{test}'"
+    else:
+        text, reason = SCORED_CSVS[kind]
+        test.write_text(text)
+        message = f"{test} cannot be scored: {reason}"
+    model, history = tmp_path / "model.json", tmp_path / "history.csv"
+    capsys.readouterr()
+    assert main(["train", "--train", str(data), "--epochs", "2", "--test", str(test),
+                 "--model-out", str(model), "--history-out", str(history)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"fairrobust train: error: {message}\n"
+    assert captured.out == ""
+    assert not model.exists() and not history.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("metrics", "--model"), ("train", "--train"), ("sweep", "--config"),
+    ("aggregate-crowd", "--responses")], ids=lambda value: value.lstrip("-"))
+def test_missing_input_file_exits_2(tmp_path, capsys, command, flag):
+    data = tmp_path / "data.csv"
+    main(["gen-synth", "--n", "50", "--out", str(data)])
+    missing = tmp_path / "missing"
+    argv = {"metrics": ["--data", str(data)], "sweep": ["--out-dir", str(tmp_path / "out")]}
+    capsys.readouterr()
+    assert main([command, flag, str(missing), *argv.get(command, [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"fairrobust {command}: error: [Errno 2] No such file or directory: '{missing}'\n")
     assert captured.out == ""
 
 

@@ -10,12 +10,9 @@ from fairrobust.metrics import (
     UndefinedGroupError,
     accuracy,
     compute_report,
-    confusion_by_group,
     disparate_impact,
     empirical_entropy,
-    equalized_odds,
     group_plan,
-    positive_rates,
 )
 
 
@@ -107,18 +104,47 @@ def _masked_di(predictions, z, z_cardinality=None):
     return min(_rate_ratio(a, b) for i, a in enumerate(rates) for b in rates[i + 1:])
 
 
+def _masked_eo(predictions, z, labels, z_cardinality=None):
+    """Reference: per label that occurs, ``_masked_di`` over that label's rows,
+    left out where it is undefined."""
+    eo = {}
+    for y in np.unique(labels):
+        try:
+            eo[int(y)] = _masked_di(predictions[labels == y], z[labels == y], z_cardinality)
+        except UndefinedGroupError:
+            pass
+    return eo
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_report_equals_the_masked_oracles(report, preds, z, labels, card):
+    assert _bits(report.disparate_impact) == _bits(_masked_di(preds, z, card))
+    want = _masked_eo(preds, z, labels, card)
+    assert list(report.equalized_odds) == list(want)
+    assert [_bits(v) for v in report.equalized_odds.values()] == [_bits(v) for v in want.values()]
+
+
 def test_counted_rates_equal_masked_means_bit_for_bit():
     rng = np.random.default_rng(7)
+    label_rng = np.random.default_rng(70)  # a stream apart from the group and prediction draws
     undefined = out_of_range = 0
     for _ in range(3000):
         n = int(rng.integers(1, 80))
         present = rng.choice(7, size=int(rng.integers(1, 5)), replace=False)  # codes with gaps
         z = rng.choice(present, size=n)
         preds = (rng.random(n) < rng.random()).astype(np.int64)
+        labels = label_rng.integers(0, 2, n)
         for card in (None, int(rng.integers(1, 8))):
-            want = _outcome(_masked_rates, preds, z, card)
-            assert _outcome(positive_rates, preds, z, card) == want
-            assert _outcome(disparate_impact, preds, z, card) == _outcome(_masked_di, preds, z, card)
+            want = _outcome(_masked_di, preds, z, card)
+            assert _outcome(disparate_impact, preds, z, card) == want
+            report = _outcome(compute_report, preds, labels, z, card)
+            if isinstance(want, float):
+                _assert_report_equals_the_masked_oracles(report, preds, z, labels, card)
+            else:
+                assert report == want
             undefined += want is UndefinedGroupError
             out_of_range += want is ValueError
     assert undefined > 100  # the absent-group cases were exercised
@@ -144,10 +170,11 @@ def test_plan_rates_equal_the_array_form_bit_for_bit():
                 labels = rng.integers(0, 2, n)
                 for card in (None, groups):
                     plan = group_plan(z, card)
-                    assert positive_rates(preds, plan) == _masked_rates(preds, z, card)
-                    assert positive_rates(preds, plan) == positive_rates(preds, z, card)
                     got, want = disparate_impact(preds, plan), _masked_di(preds, z, card)
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    assert _bits(got) == _bits(want)
+                    assert _bits(disparate_impact(preds, z, card)) == _bits(want)
+                    report = compute_report(preds, labels, z, card)
+                    _assert_report_equals_the_masked_oracles(report, preds, z, labels, card)
                 assert accuracy(preds, labels) == float((preds == labels).mean())
                 cases += 1
     assert cases == 1200
@@ -161,7 +188,8 @@ def test_plan_checks_group_codes_once_and_keeps_its_cardinality():
     with pytest.raises(UndefinedGroupError, match="group 1 absent"):
         group_plan([0, 2, 2], 3)
     plan = group_plan([0, 2, 2, 0])
-    assert plan.codes == [0, 2] and positive_rates([1, 1, 0, 0], plan) == {0: 0.5, 2: 0.5}
+    assert plan.codes == [0, 2] and disparate_impact([1, 1, 0, 0], plan) == 1.0  # 0.5 and 0.5
+    assert disparate_impact([1, 1, 1, 0], plan) == 0.5  # 0.5 and 1.0
     with pytest.raises(ValueError, match="carries its own cardinality"):
         disparate_impact([1, 1, 0, 0], plan, 3)
     with pytest.raises(ValueError, match="equal length"):
@@ -170,11 +198,13 @@ def test_plan_checks_group_codes_once_and_keeps_its_cardinality():
         disparate_impact([1, 0], group_plan([1, 1]))
 
 
-def test_positive_rates_rejects_negative_group_code():
+def test_negative_group_code_is_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        positive_rates([1, 0, 1], [0, -1, 1])
+        disparate_impact([1, 0, 1], [0, -1, 1])
     with pytest.raises(ValueError, match="nonnegative"):
         disparate_impact([1, 0, 1], [0, -1, 1], z_cardinality=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        compute_report([1, 0, 1], [1, 0, 1], [0, -1, 1])
 
 
 def test_group_code_at_or_above_the_cardinality_is_named():
@@ -182,7 +212,7 @@ def test_group_code_at_or_above_the_cardinality_is_named():
     with pytest.raises(ValueError, match=r"group code 2 is outside \[0, 2\)"):
         disparate_impact([1, 1, 0], [0, 1, 2], 2)
     with pytest.raises(ValueError, match=r"group code 2 is outside \[0, 2\)"):
-        equalized_odds([1, 1, 0, 1], [0, 1, 2, 0], [1, 1, 0, 0], 2)
+        compute_report([1, 1, 0, 1], [1, 1, 0, 0], [0, 1, 2, 0], 2)
     assert disparate_impact([1, 1, 0], [0, 1, 2], 3) == 0.0
 
 
@@ -190,7 +220,7 @@ def test_equalized_odds_equal_conditional_rates():
     preds = [1, 0, 1, 0, 1, 1, 1, 1]
     z = [0, 0, 1, 1, 0, 0, 1, 1]
     y = [0, 0, 0, 0, 1, 1, 1, 1]
-    assert equalized_odds(preds, z, y) == {0: 1.0, 1: 1.0}
+    assert compute_report(preds, y, z).equalized_odds == {0: 1.0, 1: 1.0}
 
 
 def test_equalized_odds_hand_counted_fixture():
@@ -198,15 +228,17 @@ def test_equalized_odds_hand_counted_fixture():
     preds = [1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0]
     z = [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1]
     y = [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
-    assert equalized_odds(preds, z, y) == pytest.approx({0: 0.5, 1: 0.5})
+    assert compute_report(preds, y, z).equalized_odds == pytest.approx({0: 0.5, 1: 0.5})
 
 
 def test_equalized_odds_skips_undefined_stratum():
     preds = [1, 0, 1, 0]
     z = [0, 0, 0, 1]
     y = [0, 0, 1, 1]
-    ratios = equalized_odds(preds, z, y)
+    ratios = compute_report(preds, y, z).equalized_odds
     assert 0 not in ratios and 1 in ratios
+    # With the cardinality given, a label missing a reported group is left out too.
+    assert compute_report(preds, y, z, 2).equalized_odds == ratios
 
 
 @settings(max_examples=50, deadline=None)
@@ -216,17 +248,17 @@ def test_equal_opportunity_matches_eo_at_positive_label(rows):
     preds = [p for p, _, _ in rows]
     z = [g for _, g, _ in rows]
     y = [v for _, _, v in rows]
-    positives = [g for g, v in zip(z, y) if v == 1]
-    eo = equalized_odds(preds, z, y)
+    positives = [i for i, v in enumerate(y) if v == 1]
     if len(set(z)) < 2:  # disparate impact, and so the report, is undefined
         with pytest.raises(UndefinedGroupError):
             compute_report(preds, y, z)
         return
     report = compute_report(preds, y, z)
-    if 1 in eo:
-        assert report.equal_opportunity == eo[1]
+    assert report.equal_opportunity == report.equalized_odds.get(1)
+    if len({z[i] for i in positives}) >= 2:
+        assert report.equal_opportunity == disparate_impact(
+            [preds[i] for i in positives], [z[i] for i in positives])
     else:
-        assert len(set(positives)) < 2
         assert report.equal_opportunity is None
 
 
@@ -252,10 +284,10 @@ def test_group_confusion_sums_to_global():
     preds = rng.integers(0, 2, 100)
     labels = rng.integers(0, 2, 100)
     z = rng.integers(0, 3, 100)
-    per_group = confusion_by_group(preds, labels, z)
+    per_group = compute_report(preds, labels, z).group_confusion
     total = sum(per_group.values())
     assert total.sum() == 100
-    global_mat = confusion_by_group(preds, labels, np.zeros(100, dtype=int))[0]
+    global_mat = np.bincount(2 * labels + preds, minlength=4).reshape(2, 2)
     assert np.array_equal(total, global_mat)
 
 
@@ -277,7 +309,7 @@ def test_group_confusion_equals_the_row_by_row_count(seed):
     n = int(rng.integers(1, 300))
     preds, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
     z = rng.choice([0, 2, 3, 7], n)  # codes with gaps; some may not occur
-    got = confusion_by_group(preds, labels, z)
+    got = compute_report(preds, labels, z).group_confusion
     want = _confusion_by_loop(preds, labels, z)
     assert list(got) == list(want)
     for code, mat in want.items():
@@ -292,7 +324,7 @@ def test_group_confusion_equals_the_row_by_row_count(seed):
 ], ids=["negative_prediction", "prediction_2", "label_2", "negative_group"])
 def test_group_confusion_rejects_codes_outside_its_table(preds, labels, z, message):
     with pytest.raises(ValueError, match=message):
-        confusion_by_group(preds, labels, z)
+        compute_report(preds, labels, z)
 
 
 def test_report_serializes_flat():

@@ -9,6 +9,10 @@ attribute that merely shares the name does not count. Re-exports in
 ``__init__.py`` do not count, and neither do tests: helpers only tests call
 live in ``tests/``.
 
+The root guards keep the package root to README's quick start: ``__all__``
+is exactly the names that its code block imports, and ``import fairrobust``
+alone binds every submodule that ``perfbench/spans.py`` reads off the package.
+
 The import guard reads every file under ``src/``, ``scripts/`` and ``tests/``
 except the package's ``__init__.py``, whose imports are its re-exports. A
 name that an import binds counts as used when the file loads it somewhere
@@ -16,7 +20,10 @@ name that an import binds counts as used when the file loads it somewhere
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,3 +119,25 @@ def test_perfbench_tracer_installs_and_counts_epochs(monkeypatch):
     # rows, per epoch. A feature-major argument would count features instead.
     assert figures["nnet.adversary_forward_rows_per_epoch"][0] == 16600
     assert figures["nnet.generator_forward_calls_per_epoch"][0] == 2
+
+
+def test_package_root_exports_exactly_the_quick_start_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    imported = {a.name for n in ast.walk(ast.parse(block))
+                if isinstance(n, ast.ImportFrom) and n.module == "fairrobust" for a in n.names}
+    assert len(imported) == 8
+    assert sorted(fairrobust.__all__) == sorted(imported)
+
+
+def test_importing_the_package_binds_the_modules_the_tracer_reads():
+    # A fresh interpreter, so that no other test's imports can bind a module
+    # that ``import fairrobust`` alone leaves out.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fairrobust, spans; "
+            "tracer = spans.Tracer(); tracer.install(fairrobust); "
+            "print(tracer.installed); tracer.uninstall()")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
